@@ -2,10 +2,11 @@
 
 Jacobi symbols, integer square/k-th roots, exact rational powers, 2-adic
 decompositions, sieve-backed trial division, and instrumented modular
-exponentiation.  Everything is exact integer arithmetic; fractional
+exponentiation.  Every result is exact integer arithmetic; fractional
 exponents are taken as `Fraction`s and evaluated by integer root
-extraction, never through floats, so boundary cases (floor/ceil of n**delta)
-cannot be misjudged.
+extraction.  A float estimate only picks the starting point of the root's
+Newton iteration; the iteration and its final check are exact, so boundary
+cases (floor/ceil of n**delta) cannot be misjudged.
 """
 
 from __future__ import annotations
@@ -131,8 +132,15 @@ def is_perfect_square(x: int) -> bool:
 def iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for x >= 0, k >= 1, by integer Newton iteration.
 
-    The initial guess 2**ceil(bits/k) overestimates the root, and the
-    iteration decreases monotonically from above, so termination is exact.
+    Newton starts from ``_root_seed``, a float estimate that provably lies
+    above the root, by a relative error near (bits(x) / k) * 2**-40.
+    Integer Newton from above decreases monotonically and never drops below
+    the floor of the root, so the loop stops exactly there.  The relative
+    error roughly squares at every step, so the loop runs a handful of times
+    (6 for the 415-bit root of n**81 at 2048-bit n), not the hundreds a
+    power-of-two seed costs when it overshoots a root with large k.  The
+    exit test itself proves r**k <= x, and the exact (r + 1)**k check below
+    confirms the floor: floats never decide the result, only its cost.
     """
     if x < 0 or k < 1:
         raise ValueError("iroot requires x >= 0 and k >= 1")
@@ -142,17 +150,32 @@ def iroot(x: int, k: int) -> int:
         return isqrt(x)
     if x.bit_length() <= k:
         return 1
-    r = 1 << -(-x.bit_length() // k)
+    r = _root_seed(x, k)
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
             break
         r = nr
-    while r ** k > x:
-        r -= 1
+    # nr >= r means x // r**(k-1) >= r, that is r**k <= x, whatever the seed
     while (r + 1) ** k <= x:
         r += 1
     return r
+
+
+def _root_seed(x: int, k: int) -> int:
+    """An integer above x ** (1/k) by a relative error near (bits(x) / k) * 2**-40.
+
+    x < (top + 1) * 2**shift with top the leading 64 bits of x, so
+    log2(x) / k < (shift + log2(top + 1)) / k = e.  The float log, sum,
+    division, subtraction and power below are each off by a few ulps, under
+    (e + 1) * 2**-50 in all; the margin (e + 1) * 2**-40 added to e covers
+    that a thousand times over, so the seed is never below the root.
+    """
+    shift = max(0, x.bit_length() - 64)
+    e = (shift + math.log2((x >> shift) + 1)) / k
+    e += (e + 1) * 2.0 ** -40
+    q = max(0, int(e) - 52)
+    return (int(2.0 ** (e - q)) + 1) << q
 
 
 def as_fraction(value: "Fraction | int | str") -> Fraction:

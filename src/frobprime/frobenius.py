@@ -454,6 +454,18 @@ def rqft(
     screen = initial_screen(n)
     if screen is not None:
         return screen
+    return _rqft_screened(n, params, counter, phases, force_extension_steps, small_c)
+
+
+def _rqft_screened(
+    n: int,
+    params: RqftParams,
+    counter: Optional[OpCounter],
+    phases: Optional[PhaseCounters],
+    force_extension_steps: bool,
+    small_c: bool,
+) -> Verdict:
+    """``rqft`` after steps 1-2 passed: the B^2 shortcut, the parameter check and steps 3-5."""
     if n <= TRIAL_DIVISION_BOUND ** 2 and not force_extension_steps:
         return Verdict.probable_prime()
     target = _check_rqft_params(n, params)
@@ -481,15 +493,16 @@ def rqft_with_small_c(
     by the search or by parameter sampling short-circuits to a composite
     verdict.  If the search exhausts its candidate cap,
     NonresidueNotFound propagates (squares and prime powers can make the
-    search fail; that failure is reported, never swallowed).
+    search fail; that failure is reported, never swallowed).  Steps 1-2 run
+    once, before the search; the test proper then skips them.
     """
-    from .nonresidue import NonresidueNotFound, SearchConfig, find_small_nonresidue
+    from .nonresidue import NonresidueNotFound, find_small_nonresidue
 
     n = modulus_value(n)
     screen = initial_screen(n)
     if screen is not None:
         return screen, None, None
-    outcome = find_small_nonresidue(n, SearchConfig.for_modulus(n, delta))
+    outcome = find_small_nonresidue(n, delta=delta)
     if outcome.factor is not None:
         return (
             Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor),
@@ -506,14 +519,7 @@ def rqft_with_small_c(
             outcome,
             None,
         )
-    verdict = rqft(
-        n,
-        params,
-        counter,
-        phases=phases,
-        force_extension_steps=force_extension_steps,
-        small_c=True,
-    )
+    verdict = _rqft_screened(n, params, counter, phases, force_extension_steps, small_c=True)
     return verdict, outcome, params
 
 

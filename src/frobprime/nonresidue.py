@@ -66,12 +66,18 @@ class SearchConfig:
     @classmethod
     def for_modulus(cls, n: int, delta=None) -> "SearchConfig":
         n = modulus_value(n)
-        d = as_fraction(delta) if delta is not None else DEFAULT_DELTA
-        if not DELTA_THRESHOLD < float(d) < 1:
-            raise ValueError(
-                f"delta must lie in (1/(3*sqrt(e)), 1) = ({DELTA_THRESHOLD:.10f}, 1); got {d}"
-            )
+        d = _search_delta(delta)
         return cls(d, ceil_frac_pow(n, d))
+
+
+def _search_delta(delta) -> Fraction:
+    """The search exponent (DEFAULT_DELTA when None), checked to make the search unconditional."""
+    d = as_fraction(delta) if delta is not None else DEFAULT_DELTA
+    if not DELTA_THRESHOLD < float(d) < 1:
+        raise ValueError(
+            f"delta must lie in (1/(3*sqrt(e)), 1) = ({DELTA_THRESHOLD:.10f}, 1); got {d}"
+        )
+    return d
 
 
 @dataclass(frozen=True)
@@ -102,16 +108,31 @@ def find_small_nonresidue(n: int, config: Optional[SearchConfig] = None, *, delt
     returns ``SearchOutcome(factor=gcd(c, n))``; hitting the cap returns a
     not-found outcome (callers that need a hard guarantee raise
     NonresidueNotFound from it).
+
+    Without a ``config`` the exact cap ceil(n^delta) is computed only if the
+    scan needs it.  n >= 2^(bits(n) - 1) gives the free lower bound
+    2^floor((bits(n) - 1) * delta) <= n^delta <= ceil(n^delta), so the scan
+    first runs against that bound and tightens it to the exact cap once
+    ``examined`` reaches it.  The outcome is the one the exact cap gives;
+    at 2048 bits the bound is 2^414 and the exact cap is never computed.
     """
     n = modulus_value(n)
     if config is None:
-        config = SearchConfig.for_modulus(n, delta)
+        d = _search_delta(delta)
+        cap, exact = 1 << ((n.bit_length() - 1) * d.numerator // d.denominator), False
     elif delta is not None:
         raise ValueError("pass either a config or a delta, not both")
+    else:
+        cap, exact = config.cap, True
     examined = 0
     c = 2
     next_root, next_square = 2, 4
-    while examined < config.cap and c < n:
+    while c < n:
+        if examined >= cap:
+            if exact:
+                break
+            cap, exact = ceil_frac_pow(n, d), True
+            continue
         if c == next_square:
             next_root += 1
             next_square = next_root * next_root

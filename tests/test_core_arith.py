@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import integer_nthroot
 
 from frobprime.arith import (
     SMALL_PRIMES,
@@ -120,6 +121,30 @@ def test_iroot_brackets_the_true_root():
     assert iroot(0, 3) == 0
     assert iroot(1, 5) == 1
     assert iroot(2**90, 9) == 2**10
+
+
+def test_iroot_is_exact_at_perfect_powers_from_a_few_bits_to_170k_bits():
+    # sympy's integer_nthroot shares no code with iroot
+    rng = random.Random(20261018)
+    for k in (3, 5, 81, 400):
+        for x_bits in (4, 30, 64, 200, 1000, 10_000, 50_000, 170_000):
+            r = rng.getrandbits(max(1, x_bits // k)) | 1
+            for x in (r**k - 1, r**k, r**k + 1):
+                assert iroot(x, k) == integer_nthroot(x, k)[0], (k, x_bits, x - r**k)
+    n = rng.getrandbits(4096) | (1 << 4095) | 1  # the search cap's root at 4096 bits
+    for x in (n**81 - 1, n**81, n**81 + 1):
+        assert iroot(x, 400) == integer_nthroot(x, 400)[0]
+
+
+def test_frac_pow_at_the_default_exponent_around_exact_powers():
+    e = Fraction(81, 400)
+    for m in (2, 3, 7, 33, 1000):
+        n = m**400
+        assert floor_frac_pow(n, e) == ceil_frac_pow(n, e) == m**81
+        assert floor_frac_pow(n - 1, e) == m**81 - 1
+        assert ceil_frac_pow(n - 1, e) == m**81
+        assert floor_frac_pow(n + 1, e) == m**81
+        assert ceil_frac_pow(n + 1, e) == m**81 + 1
 
 
 def test_isqrt_agrees_with_iroot():

@@ -3,7 +3,9 @@
 import random
 
 import pytest
+from sympy import isprime, nextprime
 
+from frobprime import frobenius, nonresidue
 from frobprime.arith import TRIAL_DIVISION_BOUND, jacobi, primes_up_to
 from frobprime.frobenius import (
     RETRY_CAP,
@@ -29,8 +31,22 @@ from frobprime.frobenius import (
     step5_naive,
     strong_test,
 )
-from frobprime.nonresidue import SearchOutcome
+from frobprime.nonresidue import SearchConfig, SearchOutcome, find_small_nonresidue
 from frobprime.quadext import ExtensionRing, OpCounter, QuadExtElement
+
+
+# a 2048-bit prime (checked with sympy.isprime)
+PRIME_2048 = int(
+    "a30a2487ebde8e05f35ce545469a56bb13162ca886dc9416018c8ff726f130ee"
+    "c7eaeac5871074cea2c0e5be2cc9c5a9855589a6a403b9ca91ce4e3f31230012"
+    "53bf7f62fb6983fcd10161dfb4fa941d40f2eacb7b530231b7fced64ff16ae3c"
+    "d1719df01bbc0c5cba261a8f41dfd47064bc21885e813e19736616f9c6b52e31"
+    "6749eba319c7864415ff7cb47b17e7672e1bdacc82c7eaa9368a4f6209355c9e"
+    "857191f11737c67443f16096d2e16e0c7e8041ed485d65409839deb3eb3d59ca"
+    "5d6f26414111724ef3bfccab011a4a31026e330d65d3b01631930af828bf35a9"
+    "e268fe6bc6d399957de080de226e2cea1b2ab92be210cfe947dfab723a6dbf59",
+    16,
+)
 
 
 class StubRng:
@@ -201,6 +217,56 @@ def test_small_c_wrapper_on_primes():
     assert outcome.kind == "small-c"
     assert params.c == outcome.c
     assert jacobi(outcome.c, 1000003) == -1
+
+
+def _chernick_carmichaels(count):
+    """(6k+1)(12k+1)(18k+1) with all three factors prime and above the trial-division bound."""
+    found = []
+    k = TRIAL_DIVISION_BOUND // 6 + 1
+    while len(found) < count:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(isprime(f) for f in factors):
+            found.append(factors[0] * factors[1] * factors[2])
+        k += 1
+    return found
+
+
+def _buckets(phases):
+    return [b.as_dict() for b in (phases.squaring_steps, phases.multiply_steps, phases.tail)]
+
+
+def test_small_c_wrapper_screens_once_and_runs_rqft(monkeypatch):
+    rng = random.Random(20261018)
+    cases = [(nextprime(rng.getrandbits(bits)), False) for bits in (40, 64, 256)]
+    cases += [(n, False) for n in _chernick_carmichaels(3)] + [(1000003, True)]
+    screen = frobenius.initial_screen
+    for n, force in cases:
+        screened = []
+        monkeypatch.setattr(frobenius, "initial_screen", lambda m: screened.append(m) or screen(m))
+        phases = PhaseCounters.fresh()
+        verdict, outcome, params = rqft_with_small_c(
+            n, random.Random(n), phases=phases, force_extension_steps=force
+        )
+        monkeypatch.undo()
+        assert screened == [n]
+        assert verdict.is_probable_prime == isprime(n)
+        assert outcome == find_small_nonresidue(n)
+        assert params == generate_rqft_params(n, outcome.c, random.Random(n))
+        ref_phases = PhaseCounters.fresh()
+        assert rqft(n, params, phases=ref_phases, force_extension_steps=force, small_c=True) == verdict
+        assert _buckets(phases) == _buckets(ref_phases)
+
+
+def test_small_c_wrapper_never_computes_the_exact_cap_at_2048_bits(monkeypatch):
+    expected = rqft_with_small_c(PRIME_2048, random.Random(5))
+    assert expected[0].is_probable_prime
+    assert expected[1] == find_small_nonresidue(PRIME_2048, SearchConfig.for_modulus(PRIME_2048))
+
+    def no_exact_cap(*args):
+        raise AssertionError("the exact search cap was computed")
+
+    monkeypatch.setattr(nonresidue, "ceil_frac_pow", no_exact_cap)
+    assert rqft_with_small_c(PRIME_2048, random.Random(5)) == expected
 
 
 def test_search_outcome_kinds():

@@ -41,6 +41,10 @@ def test_search_config_rejects_unsupported_exponents():
         SearchConfig.for_modulus(101, 1)
     with pytest.raises(TypeError):
         SearchConfig.for_modulus(101, 0.2025)  # floats are not exact
+    # the search without a config checks delta the same way
+    for bad, error in (("0.2", ValueError), (1, ValueError), (0.2025, TypeError)):
+        with pytest.raises(error):
+            find_small_nonresidue(101, delta=bad)
 
 
 def test_find_small_nonresidue_examples():
@@ -100,6 +104,16 @@ def test_search_always_concludes_for_wide_nonsquares():
         assert (out.c is not None) or (out.factor is not None), n
         if out.factor is not None:
             assert 1 < out.factor < n and n % out.factor == 0
+
+
+def test_lazy_cap_search_equals_the_exact_cap_search():
+    rng = random.Random(20261018)
+    moduli = list(range(3, 20000, 2)) + [169, 7**6, 3**40, 104729**2]
+    moduli += [rng.getrandbits(bits) | (1 << (bits - 1)) | 1 for bits in (64, 65, 128, 256, 512, 1024, 2048)]
+    for delta in (None, "0.25", "1/2"):
+        for n in moduli:
+            exact = find_small_nonresidue(n, SearchConfig.for_modulus(n, delta))
+            assert find_small_nonresidue(n, delta=delta) == exact, (n, delta)
 
 
 def test_density_rejects_squares_and_bad_exponents():
