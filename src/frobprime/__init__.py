@@ -18,7 +18,6 @@ Library layout:
 from .arith import (
     SMALL_PRIMES,
     TRIAL_DIVISION_BOUND,
-    OddModulus,
     TwoAdic,
     as_fraction,
     ceil_frac_pow,
@@ -100,7 +99,6 @@ __all__ = [
     # arith
     "SMALL_PRIMES",
     "TRIAL_DIVISION_BOUND",
-    "OddModulus",
     "TwoAdic",
     "as_fraction",
     "ceil_frac_pow",

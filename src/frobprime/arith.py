@@ -1,25 +1,26 @@
 """Exact integer primitives.
 
 Jacobi symbols, integer square/k-th roots, exact rational powers, 2-adic
-decompositions, sieve-backed trial division, and instrumented modular
-exponentiation.  Every result is exact integer arithmetic; fractional
-exponents are taken as `Fraction`s and evaluated by integer root
-extraction.  A float estimate only picks the starting point of the root's
-Newton iteration; the iteration and its final check are exact, so boundary
-cases (floor/ceil of n**delta) cannot be misjudged.
+decompositions, trial division (a short loop over the primes up to
+sqrt(B), then one gcd with the product of the other sieve primes), and
+instrumented modular exponentiation.  Every result is exact integer
+arithmetic; fractional exponents are taken as `Fraction`s and evaluated by
+integer root extraction.  A float estimate only picks the starting point of
+the root's Newton iteration; the iteration and its final check are exact,
+so boundary cases (floor/ceil of n**delta) cannot be misjudged.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 __all__ = [
     "TRIAL_DIVISION_BOUND",
     "SMALL_PRIMES",
-    "OddModulus",
     "TwoAdic",
     "as_fraction",
     "ceil_frac_pow",
@@ -57,53 +58,45 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 
 
 # Computed once at import time and treated as read-only afterwards, so
-# concurrent readers never observe partial initialization.
+# concurrent readers never observe partial initialization.  The product of
+# the primes above sqrt(B) is built on first use instead (see _rest_product):
+# a thread that races another to build it computes the same int, and the
+# cache only ever hands out a finished value.
 SMALL_PRIMES = primes_up_to(TRIAL_DIVISION_BOUND)
+# trial_divide loops over the primes <= isqrt(B) = 223 (48 of them) and
+# takes one gcd for the rest: 227**2 > B, so a gcd <= B is a single prime.
+_HEAD_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, isqrt(TRIAL_DIVISION_BOUND))]
+_REST_PRIMES = SMALL_PRIMES[len(_HEAD_PRIMES) :]
 
 
-@dataclass(frozen=True)
-class OddModulus:
-    """A validated odd modulus n > 1 with its bit length cached."""
+@functools.cache
+def _rest_product() -> int:
+    """The product of the primes in (isqrt(B), B], about 71.5k bits.
 
-    n: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if self.n < 3 or self.n % 2 == 0:
-            raise ValueError(f"modulus must be odd and > 1, got {self.n}")
-        if self.bits != self.n.bit_length():
-            raise ValueError("bits field does not match n.bit_length()")
-
-    @classmethod
-    def of(cls, n: "int | OddModulus") -> "OddModulus":
-        if isinstance(n, OddModulus):
-            return n
-        n = int(n)
-        return cls(n, n.bit_length())
-
-    def __int__(self) -> int:
-        return self.n
+    Multiplied pairwise, level by level, so that big factors meet big
+    factors (a few ms) rather than one growing product times each prime.
+    """
+    level = list(_REST_PRIMES)
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
 
 
-def modulus_value(n: "int | OddModulus") -> int:
-    """Validate and unwrap a modulus given as an int or an OddModulus."""
-    if isinstance(n, OddModulus):
-        return n.n
+def modulus_value(n: int) -> int:
+    """Validate a modulus: an odd int n > 1."""
     n = int(n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"modulus must be odd and > 1, got {n}")
     return n
 
 
-def jacobi(a: int, n: "int | OddModulus") -> int:
+def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd n > 0.
 
     Computed by quadratic reciprocity with the factor-of-two extraction
     rule; a is reduced mod n first (so negative a is handled by
     periodicity).  Returns 0 exactly when gcd(a, n) > 1.
     """
-    if isinstance(n, OddModulus):
-        n = n.n
     if n <= 0 or n % 2 == 0:
         raise ValueError("Jacobi symbol requires a positive odd denominator")
     a %= n
@@ -142,24 +135,39 @@ def iroot(x: int, k: int) -> int:
     exit test itself proves r**k <= x, and the exact (r + 1)**k check below
     confirms the floor: floats never decide the result, only its cost.
     """
+    return _iroot_exact(x, k)[0]
+
+
+def _iroot_exact(x: int, k: int) -> "tuple[int, bool]":
+    """(floor(x ** (1/k)), whether that root is exact), as in ``iroot``.
+
+    The last Newton step already divides x by r**(k-1): x = q * r**(k-1) + rem
+    with 0 <= rem < r**(k-1), so r**k == x exactly when q == r and rem == 0.
+    Exactness therefore costs no extra power, unless the final (r + 1)**k
+    walk moves r, and then the walk's own power answers it.
+    """
     if x < 0 or k < 1:
         raise ValueError("iroot requires x >= 0 and k >= 1")
     if k == 1 or x < 2:
-        return x
+        return x, True
     if k == 2:
-        return isqrt(x)
+        r = isqrt(x)
+        return r, r * r == x
     if x.bit_length() <= k:
-        return 1
+        return 1, False  # 1 < x < 2**k
     r = _root_seed(x, k)
     while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        q, rem = divmod(x, r ** (k - 1))
+        nr = ((k - 1) * r + q) // k
         if nr >= r:
             break
         r = nr
-    # nr >= r means x // r**(k-1) >= r, that is r**k <= x, whatever the seed
-    while (r + 1) ** k <= x:
+    # nr >= r means q >= r, that is r**k <= x, whatever the seed
+    exact = q == r and rem == 0
+    while (up := (r + 1) ** k) <= x:
         r += 1
-    return r
+        exact = up == x
+    return r, exact
 
 
 def _root_seed(x: int, k: int) -> int:
@@ -209,9 +217,8 @@ def ceil_frac_pow(n: int, exponent: "Fraction | int | str") -> int:
     e = as_fraction(exponent)
     if n < 0 or e <= 0:
         raise ValueError("ceil_frac_pow requires n >= 0 and exponent > 0")
-    power = n ** e.numerator
-    r = iroot(power, e.denominator)
-    return r if r ** e.denominator == power else r + 1
+    r, exact = _iroot_exact(n ** e.numerator, e.denominator)
+    return r if exact else r + 1
 
 
 class TwoAdic(NamedTuple):
@@ -233,18 +240,35 @@ def trial_divide(n: int, bound: int) -> Optional[int]:
     """Smallest prime divisor of n that is <= bound, or None.
 
     bound must not exceed TRIAL_DIVISION_BOUND (the cached sieve's limit).
+    The primes <= isqrt(B) are tried one by one; they catch most composites
+    in a few steps.  The rest are tried at once: g = gcd(R, n), with R the
+    product of the primes in (isqrt(B), B], is the product of those that
+    divide n.  Two of them multiply to more than B, so a g <= B is a single
+    prime; a larger g is searched for its smallest prime.
     """
     if bound > TRIAL_DIVISION_BOUND:
         raise ValueError(f"trial division bound is capped at {TRIAL_DIVISION_BOUND}")
-    for p in SMALL_PRIMES:
+    for p in _HEAD_PRIMES:
         if p > bound:
             return None
         if n % p == 0:
             return p
+    if bound < _REST_PRIMES[0]:
+        return None
+    g = gcd(_rest_product() % n, n)
+    if g == 1:
+        return None
+    if g <= TRIAL_DIVISION_BOUND:
+        return g if g <= bound else None
+    for p in _REST_PRIMES:
+        if p > bound:
+            return None
+        if g % p == 0:
+            return p
     return None
 
 
-def mod_pow(base: int, exp: int, n: "int | OddModulus", counter=None) -> int:
+def mod_pow(base: int, exp: int, n: int, counter=None) -> int:
     """base**exp mod n by plain left-to-right binary exponentiation.
 
     When a counter is supplied it is incremented by one squaring per ladder
@@ -252,8 +276,6 @@ def mod_pow(base: int, exp: int, n: "int | OddModulus", counter=None) -> int:
     multiplication per set bit after the leading bit.  No windowing: the
     operation count is exact and checkable.
     """
-    if isinstance(n, OddModulus):
-        n = n.n
     if exp < 0:
         raise ValueError("mod_pow requires a nonnegative exponent")
     base %= n

@@ -165,27 +165,37 @@ def cmd_test(args) -> int:
         print("error: --rounds must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     if args.stdin:
-        try:
-            numbers = [int(line) for line in sys.stdin.read().split()]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        entries = [
+            (f"line {k}: ", token)
+            for k, line in enumerate(sys.stdin.read().splitlines(), 1)
+            for token in line.split()
+        ]
     else:
-        numbers = [args.n]
+        entries = [("", args.n)]
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
     rng = random.Random(seed)
     worst = EXIT_PROBABLE_PRIME
-    for n in numbers:
-        if n < 2:
-            print(f"error: n must be at least 2; got {n}", file=sys.stderr)
-            return EXIT_USAGE
-        if n > 2 and n % 2 == 0:
-            print(f"error: n must be odd (or exactly 2); got {n}", file=sys.stderr)
-            return EXIT_USAGE
+    for where, token in entries:
+        # a bad entry is reported and skipped; it draws nothing from rng
+        try:
+            n = _valid_n(token)
+        except ValueError as exc:
+            print(f"error: {where}{exc}", file=sys.stderr)
+            worst = max(worst, EXIT_USAGE)
+            continue
         report, code = _test_one(n, args, rng, seed)
         _emit(report, args.output)
         worst = max(worst, code)
     return worst
+
+
+def _valid_n(token: "str | int") -> int:
+    n = int(token)
+    if n < 2:
+        raise ValueError(f"n must be at least 2; got {n}")
+    if n > 2 and n % 2 == 0:
+        raise ValueError(f"n must be odd (or exactly 2); got {n}")
+    return n
 
 
 def cmd_find_c(args) -> int:

@@ -102,6 +102,28 @@ def test_stdin_rejects_garbage(capsys, monkeypatch):
     assert code == 2 and "seven" in err
 
 
+def test_stdin_reports_each_bad_line_and_tests_the_rest(capsys, monkeypatch):
+    good = ["7919", "2500000033", "341", "1000000007"]
+    batch = "-5\n7919\nseven\n2500000033 4\n\n341\n1\n1000000007\n"
+    for method in ("rqft", "rqft-smallc", "lucas"):
+        argv = ("test", "--stdin", "--method", method, "--seed", "11", "--rounds", "2", "--output", "json")
+        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.splitlines() == [
+            "error: line 1: n must be at least 2; got -5",
+            "error: line 3: invalid literal for int() with base 10: 'seven'",
+            "error: line 4: n must be odd (or exactly 2); got 4",
+            "error: line 7: n must be at least 2; got 1",
+        ]
+        # skipped lines draw nothing from the seeded generator
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(good) + "\n"))
+        clean_code, clean_out, clean_err = run(capsys, *argv)
+        assert (clean_code, clean_err) == (1, "")  # 341 is composite
+        assert out == clean_out
+        assert [json.loads(line)["n"] for line in out.splitlines()] == [int(n) for n in good]
+
+
 def test_lucas_method_runs(capsys):
     code, out, _ = run(capsys, "test", "2500000033", "--method", "lucas", "--seed", "5", "--rounds", "2")
     assert code == 0

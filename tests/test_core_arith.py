@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import integer_nthroot
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import integer_nthroot, nextprime, primerange
 
+from frobprime import arith
 from frobprime.arith import (
     SMALL_PRIMES,
     TRIAL_DIVISION_BOUND,
-    OddModulus,
     as_fraction,
     ceil_frac_pow,
     floor_frac_pow,
@@ -91,20 +93,6 @@ def test_jacobi_is_multiplicative_and_periodic():
         assert jacobi(a + n, n) == jacobi(a, n)
 
 
-def test_jacobi_accepts_odd_modulus_wrapper():
-    m = OddModulus.of(341)
-    assert jacobi(2, m) == jacobi(2, 341)
-
-
-def test_odd_modulus_validation():
-    assert OddModulus.of(341).bits == 9
-    assert int(OddModulus.of(7)) == 7
-    with pytest.raises(ValueError):
-        OddModulus.of(8)
-    with pytest.raises(ValueError):
-        OddModulus.of(1)
-
-
 def test_perfect_square_detection():
     squares = {k * k for k in range(1000)}
     for x in range(10**4):
@@ -145,6 +133,24 @@ def test_frac_pow_at_the_default_exponent_around_exact_powers():
         assert ceil_frac_pow(n - 1, e) == m**81
         assert floor_frac_pow(n + 1, e) == m**81
         assert ceil_frac_pow(n + 1, e) == m**81 + 1
+        # and against sympy: the ceiling is the root of n**81, plus one unless exact
+        for x in (n - 1, n, n + 1):
+            root, exact = integer_nthroot(x**81, 400)
+            assert ceil_frac_pow(x, e) == (root if exact else root + 1)
+    n = random.Random(400).getrandbits(2048) | (1 << 2047) | 1
+    assert ceil_frac_pow(n, e) == integer_nthroot(n**81, 400)[0] + 1
+
+
+def test_root_exactness_holds_when_the_final_walk_moves_the_root(monkeypatch):
+    # a seed below the root makes Newton stop at once and the (r + 1)**k walk
+    # climb to the root, so the walk's powers must carry the exactness
+    monkeypatch.setattr(arith, "_root_seed", lambda x, k: max(1, integer_nthroot(x, k)[0] - 3))
+    for k in (3, 5, 81):
+        for r in (5, 2**20 + 7, 3**50):
+            for x in (r**k - 1, r**k, r**k + 1):
+                assert arith._iroot_exact(x, k) == integer_nthroot(x, k), (k, r, x - r**k)
+    assert ceil_frac_pow(7**400, Fraction(81, 400)) == 7**81
+    assert ceil_frac_pow(7**400 + 1, Fraction(81, 400)) == 7**81 + 1
 
 
 def test_isqrt_agrees_with_iroot():
@@ -162,6 +168,11 @@ def test_fractional_powers_are_exact():
     # 15^(3/10): 15^3 = 3375, 2^10 = 1024 < 3375 < 3^10
     assert floor_frac_pow(15, Fraction(3, 10)) == 2
     assert ceil_frac_pow(15, Fraction(3, 10)) == 3
+    # (r + 1) * r**(k-1) is a multiple of r**(k-1) but not a k-th power
+    for k in (3, 5, 81):
+        for r in (10, 2**40 + 1):
+            assert ceil_frac_pow((r + 1) * r ** (k - 1), Fraction(1, k)) == r + 1
+            assert ceil_frac_pow(r**k, Fraction(1, k)) == r
 
 
 def test_frac_pow_cross_check_against_floats():
@@ -203,6 +214,11 @@ def test_trial_divide_examples():
     # with bound >= n a prime reports itself; callers cap the bound at isqrt(n)
     assert trial_divide(5, 5) == 5
     assert trial_divide(5, 2) is None
+    # the same above isqrt(B) = 223, where one gcd replaces the loop
+    assert trial_divide(227, 227) == trial_divide(227, 50000) == 227
+    assert trial_divide(227, 226) is None and trial_divide(223, 226) == 223
+    assert trial_divide(49999, 49999) == trial_divide(49999, 50000) == 49999
+    assert trial_divide(49999, 49998) is None
     assert trial_divide(15, 50000) == 3
     with pytest.raises(ValueError):
         trial_divide(10**12 + 1, 50001)
@@ -218,6 +234,79 @@ def test_trial_divide_agrees_with_direct_scan():
                 expected = p
                 break
         assert trial_divide(n, 53) == expected
+
+
+def _trial_divide_by_loop(n, bound):
+    """The plain loop over every sieve prime that trial_divide replaced."""
+    for p in SMALL_PRIMES:
+        if p > bound:
+            return None
+        if n % p == 0:
+            return p
+    return None
+
+
+_HEAD_PRIMES = [p for p in SMALL_PRIMES if p <= 223]  # the primes <= isqrt(B)
+_REST_PRIMES = [p for p in SMALL_PRIMES if p > 223]
+
+
+def test_trial_divide_matches_the_plain_loop_on_every_odd_n_below_400001():
+    # The loop returns the smallest prime factor when it is <= bound, else
+    # None; the loop run to isqrt(n) finds that factor (n itself if prime).
+    bounds = (0, 1, 2, 3, 222, 223, 224, 226, 227, 228, 49999, 50000)
+    for n in range(1, 400001, 2):
+        root = isqrt(n)
+        least = _trial_divide_by_loop(n, root) or n
+        for bound in bounds + (min(TRIAL_DIVISION_BOUND, root),):
+            expected = least if 1 < least <= bound else None
+            assert trial_divide(n, bound) == expected, (n, bound)
+
+
+def test_trial_divide_finds_the_least_of_several_sieve_primes_above_223():
+    rng = random.Random(227)
+    cofactor = nextprime(2**200)  # no prime factor <= B
+    for _ in range(300):
+        ps = sorted(rng.sample(_REST_PRIMES, rng.randint(2, 4)))
+        product = math.prod(ps)
+        for n in (product, product * cofactor, product * ps[0], ps[0] ** 2 * cofactor):
+            for bound in (226, ps[0] - 1, ps[0], ps[1] - 1, ps[1], ps[-1], TRIAL_DIVISION_BOUND):
+                assert trial_divide(n, bound) == _trial_divide_by_loop(n, bound), (ps, n, bound)
+            assert trial_divide(n, TRIAL_DIVISION_BOUND) == ps[0]
+            assert trial_divide(n, ps[0] - 1) is None
+
+
+def test_trial_divide_above_the_bit_length_of_the_sieve_product():
+    # n longer than the product R of the primes above 223, so R % n == R
+    rest_bits = math.prod(_REST_PRIMES).bit_length()
+    n = (1 << (rest_bits + 8000)) + 1
+    while _trial_divide_by_loop(n, TRIAL_DIVISION_BOUND) is not None:
+        n += 2
+    assert trial_divide(n, TRIAL_DIVISION_BOUND) is None
+    for factors, bound, expected in (
+        ((227, 229), TRIAL_DIVISION_BOUND, 227),
+        ((227, 229), 228, 227),
+        ((229, 49999), 40000, 229),
+        ((49999,), TRIAL_DIVISION_BOUND, 49999),
+        ((49999,), 49998, None),
+        ((3, 49999), 2, None),
+    ):
+        assert trial_divide(n * math.prod(factors), bound) == expected, (factors, bound)
+
+
+@st.composite
+def _odd_numbers_with_planted_sieve_primes(draw):
+    bits = draw(st.integers(2, 2100))
+    n = draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    for p in draw(st.lists(st.sampled_from(_HEAD_PRIMES[1:] + _REST_PRIMES), max_size=2)):
+        n *= p
+    return n
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=_odd_numbers_with_planted_sieve_primes(), bound=st.integers(0, TRIAL_DIVISION_BOUND))
+def test_trial_divide_matches_a_sympy_prime_scan(n, bound):
+    expected = next((p for p in primerange(2, bound + 1) if n % p == 0), None)
+    assert trial_divide(n, bound) == expected
 
 
 def test_mod_pow_matches_builtin_pow():
