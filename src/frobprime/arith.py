@@ -3,11 +3,12 @@
 Jacobi symbols, integer square/k-th roots, exact rational powers, 2-adic
 decompositions, trial division (a short loop over the primes up to
 sqrt(B), then one gcd with the product of the other sieve primes), and
-instrumented modular exponentiation.  Every result is exact integer
-arithmetic; fractional exponents are taken as `Fraction`s and evaluated by
-integer root extraction.  A float estimate only picks the starting point of
-the root's Newton iteration; the iteration and its final check are exact,
-so boundary cases (floor/ceil of n**delta) cannot be misjudged.
+modular exponentiation by the built-in ``pow``, booked as the binary
+ladder.  Every result is exact integer arithmetic; fractional exponents
+are taken as `Fraction`s and evaluated by integer root extraction.  A
+float estimate only picks the starting point of the root's Newton
+iteration; the iteration and its final check are exact, so boundary cases
+(floor/ceil of n**delta) cannot be misjudged.
 """
 
 from __future__ import annotations
@@ -269,29 +270,18 @@ def trial_divide(n: int, bound: int) -> Optional[int]:
 
 
 def mod_pow(base: int, exp: int, n: int, counter=None) -> int:
-    """base**exp mod n by plain left-to-right binary exponentiation.
+    """base**exp mod n, booked as plain left-to-right binary exponentiation.
 
     When a counter is supplied it is incremented by one squaring per ladder
     step (one step per exponent bit after the leading bit) and one full
-    multiplication per set bit after the leading bit.  No windowing: the
-    operation count is exact and checkable.
+    multiplication per set bit after the leading bit, so the count is exact
+    and checkable.  The value comes from the built-in ``pow``, whatever
+    ladder that runs: the booking is computed from the exponent alone.
     """
     if exp < 0:
         raise ValueError("mod_pow requires a nonnegative exponent")
-    base %= n
-    if exp == 0:
-        return 1 % n
-    r = base
-    if counter is None:
-        for bit in bin(exp)[3:]:
-            r = r * r % n
-            if bit == "1":
-                r = r * base % n
-    else:
-        for bit in bin(exp)[3:]:
-            r = r * r % n
-            counter.squarings += 1
-            if bit == "1":
-                r = r * base % n
-                counter.full_mults += 1
+    r = pow(base, exp, n)
+    if counter is not None and exp:
+        counter.squarings += exp.bit_length() - 1
+        counter.full_mults += exp.bit_count() - 1
     return r

@@ -304,8 +304,8 @@ def _extension_steps(
     r2, s2 = two_adic_split(n + 1)
     # z^((n+1)/2) = (z^s2)^(2^(r2-1)): one odd-exponent ladder, then pure
     # squarings; identical squaring-step count to a direct (n+1)/2 ladder.
-    # The chain runs branch-free (generic squares) so each squaring step
-    # books the contractual per-iteration cost.
+    # Generic squares: each squaring step books the contractual
+    # per-iteration cost, even where an intermediate power is scalar.
     y = ext_pow(z, s2, ring, ph.squaring_steps, ph.multiply_steps, generic_squares=True)
     w = y
     for _ in range(r2 - 1):
@@ -591,8 +591,12 @@ def lucas_uv(P: int, Q: int, k: int, n: int, counter: Optional[OpCounter] = None
     W_j = P*W_(j-1) - Q*W_(j-2), by left-to-right binary doubling.
 
     Doubling: U_2j = U_j*V_j, V_2j = V_j^2 - 2*Q^j.  Stepping: U_(j+1) =
-    (P*U_j + V_j)/2, V_(j+1) = (D*U_j + P*V_j)/2 with D = P^2 - 4Q (odd n
-    makes /2 exact via the inverse of 2).
+    (P*U_j + V_j)/2, V_(j+1) = (D*U_j + P*V_j)/2 with D = P^2 - 4Q; n is odd,
+    so a reduced value t halves exactly as t/2 or (t + n)/2, with no product.
+    The counter books 1 full multiplication and 2 squarings per doubling and
+    6 full multiplications per stepping (the halvings are booked as
+    products by the inverse of 2), computed once from k's bit length and
+    popcount.
     """
     n = modulus_value(n)
     if k < 1:
@@ -602,21 +606,21 @@ def lucas_uv(P: int, Q: int, k: int, n: int, counter: Optional[OpCounter] = None
     P %= n
     Q %= n
     D = (P * P - 4 * Q) % n
-    inv2 = (n + 1) // 2
     U, V, Qk = 1, P, Q
     for bit in bin(k)[3:]:
         U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if counter is not None:
-            counter.full_mults += 1
-            counter.squarings += 2
         if bit == "1":
-            U, V, Qk = (
-                (P * U + V) * inv2 % n,
-                (D * U + P * V) * inv2 % n,
-                Qk * Q % n,
-            )
-            if counter is not None:
-                counter.full_mults += 6
+            U, V, Qk = (P * U + V) % n, (D * U + P * V) % n, Qk * Q % n
+            if U & 1:
+                U += n
+            if V & 1:
+                V += n
+            U >>= 1
+            V >>= 1
+    if counter is not None:
+        steps = k.bit_length() - 1
+        counter.full_mults += steps + 6 * (k.bit_count() - 1)
+        counter.squarings += 2 * steps
     return U, V
 
 

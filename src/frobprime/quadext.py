@@ -1,4 +1,4 @@
-"""Instrumented arithmetic in quadratic extension rings mod n.
+"""Arithmetic in quadratic extension rings mod n, with exact operation booking.
 
 Two ring forms are supported: the general form Z[x]/(n, x^2 - b*x - c) and
 the pure form Z[x]/(n, x^2 - c).  Elements are pairs (u, v) representing
@@ -22,9 +22,16 @@ Operation counting follows the cost conventions used by the cost model:
   (``generic=True`` / ``generic_squares=True``) skip the scalar squaring
   shortcut and book every step at the full formula's cost.
 
-The booked counts realize the per-operation cost model; the concrete
-sequence of bignum products may differ by a squaring-versus-multiply
-substitution, which never changes values.
+``ext_square``, ``ext_mul`` and ``mul_by_x`` book each call as it runs.
+``ext_pow`` books what the plain binary ladder of those calls would book,
+computed once from the exponent's bit length and popcount, the ring form,
+the small-c flag and the number of steps whose accumulator was scalar.  Its
+executed code differs: the ladder runs on local ints and reduces once per
+output coefficient (2 reductions per pure-form operation with a small c,
+3 where v^2 must be reduced before a full-size b or c multiplies it), and
+a scalar base is the built-in ``pow``.  The booked counts realize the
+per-operation cost model; the concrete bignum products and reductions
+differ, which never changes values.
 """
 
 from __future__ import annotations
@@ -82,9 +89,11 @@ class OpCounter:
         self.param_mults = param_mults
         self.small_bits_ratio = small_bits_ratio
 
-    def record_small(self, ratio: float) -> None:
-        """Book one small multiplication with the given operand-size ratio."""
-        self.small_mults += 1
+    def record_small(self, ratio: float, count: int = 1) -> None:
+        """Book ``count`` small multiplications with the given operand-size ratio."""
+        if count <= 0:
+            return
+        self.small_mults += count
         if ratio > self.small_bits_ratio:
             self.small_bits_ratio = ratio
 
@@ -203,15 +212,30 @@ def ext_add(e1: QuadExtElement, e2: QuadExtElement, ring: ExtensionRing) -> Quad
     return QuadExtElement((e1[0] + e2[0]) % n, (e1[1] + e2[1]) % n)
 
 
-def _book_pure_op(ring: ExtensionRing, counter: Optional[OpCounter]) -> None:
-    # One non-scalar pure-form extension operation.
-    if counter is None:
-        return
-    if ring.small_c_bits is None:
-        counter.full_mults += 3
+def _book_op(ring: ExtensionRing, counter: OpCounter, ops: int = 1, *, square: bool) -> None:
+    # ``ops`` non-scalar extension squarings (square=True) or products.
+    if ring.b is not None:
+        if square:
+            counter.squarings += 2 * ops
+            counter.full_mults += ops
+        else:
+            counter.full_mults += 3 * ops
+        counter.param_mults += 2 * ops
+    elif ring.small_c_bits is None:
+        counter.full_mults += 3 * ops
     else:
-        counter.full_mults += 2
-        counter.record_small(ring.small_ratio)
+        counter.full_mults += 2 * ops
+        counter.record_small(ring.small_ratio, ops)
+
+
+def _book_mul_by_x(ring: ExtensionRing, counter: OpCounter, ops: int = 1) -> None:
+    # ``ops`` mul_by_x steps.
+    if ring.b is not None:
+        counter.param_mults += 2 * ops
+    elif ring.small_c_bits is None:
+        counter.full_mults += ops
+    else:
+        counter.record_small(ring.small_ratio, ops)
 
 
 def ext_square(
@@ -240,13 +264,10 @@ def ext_square(
     vv = v * v % n
     t = u + v
     two_uv = (t * t - uu - vv) % n
-    if ring.b is None:
-        _book_pure_op(ring, counter)
-        return QuadExtElement((uu + ring.c * vv) % n, two_uv)
     if counter is not None:
-        counter.squarings += 2
-        counter.full_mults += 1
-        counter.param_mults += 2
+        _book_op(ring, counter, square=True)
+    if ring.b is None:
+        return QuadExtElement((uu + ring.c * vv) % n, two_uv)
     return QuadExtElement((uu + ring.c * vv) % n, (two_uv + ring.b * vv) % n)
 
 
@@ -279,12 +300,10 @@ def ext_mul(
     p = u1 * u2 % n
     q = v1 * v2 % n
     cross = ((u1 + v1) * (u2 + v2) - p - q) % n
-    if ring.b is None:
-        _book_pure_op(ring, counter)
-        return QuadExtElement((p + ring.c * q) % n, cross)
     if counter is not None:
-        counter.full_mults += 3
-        counter.param_mults += 2
+        _book_op(ring, counter, square=False)
+    if ring.b is None:
+        return QuadExtElement((p + ring.c * q) % n, cross)
     return QuadExtElement((p + ring.c * q) % n, (cross + ring.b * q) % n)
 
 
@@ -296,15 +315,10 @@ def mul_by_x(e: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCounter
     """
     n = ring.n
     u, v = e
-    if ring.b is None:
-        if counter is not None:
-            if ring.small_c_bits is None:
-                counter.full_mults += 1
-            else:
-                counter.record_small(ring.small_ratio)
-        return QuadExtElement(ring.c * v % n, u)
     if counter is not None:
-        counter.param_mults += 2
+        _book_mul_by_x(ring, counter)
+    if ring.b is None:
+        return QuadExtElement(ring.c * v % n, u)
     return QuadExtElement(ring.c * v % n, (u + ring.b * v) % n)
 
 
@@ -317,16 +331,25 @@ def ext_pow(
     *,
     generic_squares: bool = False,
 ) -> QuadExtElement:
-    """e**exp by plain left-to-right binary exponentiation.
+    """e**exp, booked as the plain left-to-right binary ladder of ext_square steps.
 
-    Squaring-step operations are booked in ``counter``.  Multiply-step
-    operations (one per set exponent bit after the leading bit) are booked
-    in ``mult_counter`` when given, else in ``counter`` as well; keeping
-    them separate lets the dominant-term contract be asserted on the
-    squaring steps alone.  ``generic_squares=True`` makes every ladder
-    squaring run branch-free at the full formula's cost (see ext_square).
-    A base that is already scalar runs the whole ladder in the base ring
-    regardless.
+    The booking is what the step-by-step ladder of ``ext_square``,
+    ``ext_mul`` and ``mul_by_x`` calls would tally: squaring steps in
+    ``counter``, multiply steps (one per set exponent bit after the leading
+    bit) in ``mult_counter`` when given, else in ``counter`` as well.
+    Keeping them separate lets the dominant-term contract be asserted on the
+    squaring steps alone.  ``generic_squares=True`` books every squaring
+    step at the full formula's cost (see ext_square); without it a step
+    that squares a scalar accumulator books one squaring, and a multiply
+    step on a scalar accumulator books two full multiplications (see
+    ext_mul).  A scalar base books one squaring per squaring step and one
+    full multiplication per multiply step.
+
+    The executed code is not that ladder: the loop works on local ints,
+    reduces once per output coefficient (the square of v is reduced first
+    only where a full-size b or c multiplies it), counts the steps whose
+    accumulator is scalar, and books every bucket once at the end.  A scalar
+    base is the built-in ``pow``.  The values are the ladder's.
     """
     if exp < 0:
         raise ValueError("ext_pow requires a nonnegative exponent")
@@ -336,28 +359,101 @@ def ext_pow(
     u, v = e[0] % n, e[1] % n
     if mult_counter is None:
         mult_counter = counter
+    steps = exp.bit_length() - 1
+    mults = exp.bit_count() - 1
     if v == 0:
-        r = u
-        for bit in bin(exp)[3:]:
-            r = r * r % n
-            if counter is not None:
-                counter.squarings += 1
-            if bit == "1":
-                r = r * u % n
-                if mult_counter is not None:
-                    mult_counter.full_mults += 1
-        return QuadExtElement(r, 0)
-    base = QuadExtElement(u, v)
+        if counter is not None:
+            counter.squarings += steps
+        if mult_counter is not None:
+            mult_counter.full_mults += mults
+        return QuadExtElement(pow(u, exp, n), 0)
     is_x = u == 0 and v == 1
-    acc = base
-    for bit in bin(exp)[3:]:
-        acc = ext_square(acc, ring, counter, generic=generic_squares)
-        if bit == "1":
-            if is_x:
-                acc = mul_by_x(acc, ring, mult_counter)
-            else:
-                acc = ext_mul(acc, base, ring, mult_counter)
+    if ring.b is None:
+        acc, scalar_squares, scalar_mults = _pure_ladder(u, v, exp, n, ring.c, ring.small_c_bits is None, is_x)
+    else:
+        acc, scalar_squares, scalar_mults = _general_ladder(u, v, exp, n, ring.b, ring.c, is_x)
+    if counter is not None:
+        if not generic_squares:
+            counter.squarings += scalar_squares
+            steps -= scalar_squares
+        _book_op(ring, counter, steps, square=True)
+    if mult_counter is not None:
+        if is_x:
+            _book_mul_by_x(ring, mult_counter, mults)
+        else:
+            mult_counter.full_mults += 2 * scalar_mults
+            _book_op(ring, mult_counter, mults - scalar_mults, square=False)
     return acc
+
+
+def _pure_ladder(u: int, v: int, exp: int, n: int, c: int, full_c: bool, is_x: bool):
+    """u + v*x raised to exp in Z[x]/(n, x^2 - c), with exp >= 1 and v != 0.
+
+    Returns (power, squaring steps on a scalar, multiply steps on a scalar).
+    A square is u^2 + c*v^2 and ((u + v)^2 - u^2 - v^2)*x, each reduced once;
+    a full-size c gets v^2 reduced first.  The multiply step by the base
+    z = zu + zv*x uses the same Karatsuba cross term.
+    """
+    zu, zv = u, v
+    zs = zu + zv
+    scalar_squares = scalar_mults = 0
+    for bit in bin(exp)[3:]:
+        if not v:
+            scalar_squares += 1
+        uu = u * u
+        vv = v * v
+        t = u + v
+        v = (t * t - uu - vv) % n
+        if full_c:
+            vv %= n
+        u = (uu + c * vv) % n
+        if bit == "1":
+            if not v:
+                scalar_mults += 1
+            if is_x:
+                u, v = c * v % n, u
+            else:
+                p = u * zu
+                q = v * zv
+                v = ((u + v) * zs - p - q) % n
+                if full_c:
+                    q %= n
+                u = (p + c * q) % n
+    return QuadExtElement(u, v), scalar_squares, scalar_mults
+
+
+def _general_ladder(u: int, v: int, exp: int, n: int, b: int, c: int, is_x: bool):
+    """u + v*x raised to exp in Z[x]/(n, x^2 - b*x - c), as ``_pure_ladder``.
+
+    A square is u^2 + c*v^2 and 2uv + b*v^2 with 2uv = (u + v)^2 - u^2 - v^2;
+    v^2 is reduced before the products by b and c.
+    """
+    zu, zv = u, v
+    zs = zu + zv
+    scalar_squares = scalar_mults = 0
+    for bit in bin(exp)[3:]:
+        if not v:
+            scalar_squares += 1
+        uu = u * u
+        vv = v * v
+        t = u + v
+        t = t * t - uu - vv
+        vv %= n
+        u = (uu + c * vv) % n
+        v = (t + b * vv) % n
+        if bit == "1":
+            if not v:
+                scalar_mults += 1
+            if is_x:
+                u, v = c * v % n, (u + b * v) % n
+            else:
+                p = u * zu
+                q = v * zv
+                t = (u + v) * zs - p - q
+                q %= n
+                u = (p + c * q) % n
+                v = (t + b * q) % n
+    return QuadExtElement(u, v), scalar_squares, scalar_mults
 
 
 def frobenius_conjugate(e: QuadExtElement, ring: ExtensionRing) -> QuadExtElement:

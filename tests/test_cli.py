@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import sys
 
 from frobprime.cli import main
 
@@ -122,6 +123,28 @@ def test_stdin_reports_each_bad_line_and_tests_the_rest(capsys, monkeypatch):
         assert (clean_code, clean_err) == (1, "")  # 341 is composite
         assert out == clean_out
         assert [json.loads(line)["n"] for line in out.splitlines()] == [int(n) for n in good]
+
+
+def test_numbers_over_4300_digits(capsys, monkeypatch):
+    # Python's int/str conversion limit is lifted inside main only
+    n = 5 * (2**15000 + 1)  # 4517 digits; 3 does not divide 2**15000 + 1
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        digits = str(n)
+        sys.set_int_max_str_digits(4300)
+        code, out, _ = run(capsys, "test", digits, "--seed", "3", "--output", "json")
+        assert code == 1
+        assert f'"n": {digits},' in out
+        assert '"factor": 5,' in out and '"reason": "small-factor"' in out
+        assert sys.get_int_max_str_digits() == 4300
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{digits}\n"))
+        code, out, err = run(capsys, "test", "--stdin", "--seed", "3")
+        assert (code, err) == (1, "")
+        assert out.startswith(f"n={digits} method=qft verdict=composite reason=small-factor factor=5 ")
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_lucas_method_runs(capsys):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import integer_nthroot, nextprime, primerange
+from sympy import integer_nthroot, jacobi_symbol, nextprime, primerange
 
 from frobprime import arith
 from frobprime.arith import (
@@ -81,6 +81,15 @@ def test_jacobi_matches_legendre_product_on_small_moduli():
         a = rng.randrange(n)
         expected = math.prod(_legendre(a, p) for p in factors)
         assert jacobi(a, n) == expected, (a, n, factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_jacobi_matches_sympy(data):
+    bits = data.draw(st.integers(2, 2100))
+    n = data.draw(st.integers(max(3, 1 << (bits - 1)), (1 << bits) - 1)) | 1
+    a = data.draw(st.integers(-(1 << 2200), 1 << 2200) | st.integers(-n, n))
+    assert jacobi(a, n) == jacobi_symbol(a % n, n)
 
 
 def test_jacobi_is_multiplicative_and_periodic():
@@ -315,6 +324,35 @@ def test_mod_pow_matches_builtin_pow():
         for base in (2, 7, n - 2):
             exp = rng.randrange(100)
             assert mod_pow(base, exp, n) == pow(base, exp, n)
+
+
+def _mod_pow_by_loop(base, exp, n, counter=None):
+    """The reference: one booked squaring and multiply per ladder step."""
+    base %= n
+    if exp == 0:
+        return 1 % n
+    r = base
+    for bit in bin(exp)[3:]:
+        r = r * r % n
+        if counter is not None:
+            counter.squarings += 1
+        if bit == "1":
+            r = r * base % n
+            if counter is not None:
+                counter.full_mults += 1
+    return r
+
+
+def test_mod_pow_books_the_reference_ladder():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        n = rng.getrandbits(rng.randrange(2, 600)) | 1
+        base = rng.randrange(-2 * n, 2 * n)
+        exp = rng.getrandbits(rng.choice((0, 1, 2, 8, 64, 400)))
+        got, want = OpCounter(3, 5, 7, 11, 0.5), OpCounter(3, 5, 7, 11, 0.5)
+        assert mod_pow(base, exp, n, got) == _mod_pow_by_loop(base, exp, n, want)
+        assert got.as_dict() == want.as_dict()
+        assert mod_pow(base, exp, n) == _mod_pow_by_loop(base, exp, n)
 
 
 def test_mod_pow_counts_ladder_steps():

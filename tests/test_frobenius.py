@@ -459,6 +459,38 @@ def test_lucas_uv_matches_naive_recurrence():
         assert lucas_uv(P, Q, k, n) == naive(P, Q, k, n), (P, Q, k, n)
 
 
+def _lucas_uv_by_inverse(P, Q, k, n, counter=None):
+    """The reference doubling ladder, halving by a product with the inverse of 2."""
+    if k == 0:
+        return 0, 2 % n
+    P %= n
+    Q %= n
+    D = (P * P - 4 * Q) % n
+    inv2 = (n + 1) // 2
+    U, V, Qk = 1, P, Q
+    for bit in bin(k)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if counter is not None:
+            counter.full_mults += 1
+            counter.squarings += 2
+        if bit == "1":
+            U, V, Qk = (P * U + V) * inv2 % n, (D * U + P * V) * inv2 % n, Qk * Q % n
+            if counter is not None:
+                counter.full_mults += 6
+    return U, V
+
+
+def test_lucas_uv_matches_the_inverse_of_two_ladder():
+    rng = random.Random(20261018)
+    for i in range(400):
+        n = max(3, rng.getrandbits(rng.randrange(2, 600)) | 1) if i % 4 else rng.randrange(3, 100) | 1
+        P, Q = rng.randrange(-n, 2 * n), rng.randrange(-n, 2 * n)
+        k = i if i < 4 else rng.getrandbits(rng.choice((1, 2, 8, 64, 400)))
+        got, want = OpCounter(), OpCounter()
+        assert lucas_uv(P, Q, k, n, got) == _lucas_uv_by_inverse(P, Q, k, n, want), (P, Q, k, n)
+        assert got.as_dict() == want.as_dict()
+
+
 def test_lucas_fixtures():
     assert lucas_test(11, 1, -1).is_probable_prime
     assert lucas_test(323, 1, -1).is_probable_prime  # smallest (1,-1) pseudoprime

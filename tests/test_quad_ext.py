@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from sympy import nextprime
 
 from frobprime.arith import jacobi, primes_up_to
 from frobprime.quadext import (
@@ -17,6 +18,37 @@ from frobprime.quadext import (
     frobenius_conjugate,
     mul_by_x,
 )
+
+
+def _ext_pow_by_steps(e, exp, ring, counter=None, mult_counter=None, *, generic_squares=False):
+    """The reference ladder: one booked ext_square / ext_mul / mul_by_x call per step."""
+    n = ring.n
+    if exp == 0:
+        return QuadExtElement(1 % n, 0)
+    u, v = e[0] % n, e[1] % n
+    if mult_counter is None:
+        mult_counter = counter
+    if v == 0:
+        r = u
+        for bit in bin(exp)[3:]:
+            r = r * r % n
+            if counter is not None:
+                counter.squarings += 1
+            if bit == "1":
+                r = r * u % n
+                if mult_counter is not None:
+                    mult_counter.full_mults += 1
+        return QuadExtElement(r, 0)
+    base = QuadExtElement(u, v)
+    acc = base
+    for bit in bin(exp)[3:]:
+        acc = ext_square(acc, ring, counter, generic=generic_squares)
+        if bit == "1":
+            if base == (0, 1):
+                acc = mul_by_x(acc, ring, mult_counter)
+            else:
+                acc = ext_mul(acc, base, ring, mult_counter)
+    return acc
 
 
 def _rand_elem(rng, n):
@@ -288,3 +320,72 @@ def test_op_counter_arithmetic():
     c.record_small(0.2)
     assert c.small_mults == 2 and c.small_bits_ratio == 0.3
     assert "squarings=11" in repr(total)
+
+
+def _field(rng, p, form):
+    """A ring over the prime p that is the field F_(p^2), in the given form."""
+    if form == "general":
+        while True:
+            b, c = rng.randrange(p), rng.randrange(1, p)
+            if jacobi(b * b + 4 * c, p) == -1:
+                return ExtensionRing.general(p, b, c)
+    c = next(c for c in range(2, p) if jacobi(c, p) == -1)
+    return ExtensionRing.pure(p, c, small=form == "pure-small")
+
+
+def _kernel_cases():
+    """(ring, base, exp) triples over every form, base kind and exponent size."""
+    rng = random.Random(20261018)
+    forms = ("general", "pure", "pure-small")
+    for i in range(1500):
+        form = forms[i % 3]
+        n = rng.randrange(3, 3000) | 1 if i % 2 else rng.getrandbits(rng.randrange(8, 420)) | 3
+        if form == "general":
+            ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(n))
+        elif form == "pure":
+            ring = ExtensionRing.pure(n, rng.randrange(n))
+        else:
+            ring = ExtensionRing.pure(n, rng.randrange(2, 60) % n, small=True)
+        kind = i // 3 % 3
+        if kind == 0:
+            base = QuadExtElement(rng.randrange(2 * n), n * rng.randrange(3))  # scalar, maybe unreduced
+        elif kind == 1:
+            base = QuadExtElement(0, 1)
+        else:
+            base = QuadExtElement(rng.randrange(2 * n), rng.randrange(1, 2 * n))
+        yield ring, base, rng.getrandbits(rng.choice((2, 8, 64, 400)))
+    # Exponents whose bit prefix is p + 1 in the field F_(p^2): the accumulator
+    # there is z^(p + 1), the scalar norm, so later steps square and multiply
+    # a scalar.
+    for i in range(120):
+        p = nextprime(rng.getrandbits(rng.choice((10, 64, 200))))
+        ring = _field(rng, p, forms[i % 3])
+        base = QuadExtElement(0, 1) if i % 2 else QuadExtElement(rng.randrange(p), rng.randrange(1, p))
+        low = rng.randrange(4)
+        yield ring, base, (p + 1) << low | rng.getrandbits(low)
+    yield ExtensionRing.pure(101, 5), QuadExtElement(3, 4), 0
+
+
+def test_ext_pow_kernel_matches_the_step_by_step_ladder():
+    scalar_squares = scalar_mults = 0
+    for ring, base, exp in _kernel_cases():
+        for generic in (False, True):
+            got = [OpCounter(), OpCounter()]
+            want = [OpCounter(), OpCounter()]
+            for counters in ((0, 1), (0, None), (None, 1), (None, None)):
+                g = [None if k is None else got[k] for k in counters]
+                w = [None if k is None else want[k] for k in counters]
+                value = ext_pow(base, exp, ring, *g, generic_squares=generic)
+                assert value == _ext_pow_by_steps(base, exp, ring, *w, generic_squares=generic)
+                for mine, ref in zip(got, want):
+                    assert mine.as_dict() == ref.as_dict(), (ring, base, exp, generic, counters)
+            # With a non-scalar base in the pure form, only a squaring step on a
+            # scalar books a squaring, and a multiply step by a general base books
+            # 3 full products less one per scalar accumulator.  want[1] holds
+            # the multiply steps twice, from the (0, 1) and (None, 1) runs.
+            if not generic and base[1] % ring.n and ring.b is None:
+                scalar_squares += want[0].squarings
+                if ring.small_c_bits is None and base != (0, 1) and exp:
+                    scalar_mults += 6 * (bin(exp).count("1") - 1) - want[1].full_mults
+    # the scalar-accumulator steps were exercised
+    assert scalar_squares > 1000 and scalar_mults > 100, (scalar_squares, scalar_mults)
