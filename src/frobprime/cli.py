@@ -6,6 +6,14 @@ the multiplication-to-squaring ratio), ``cost-table`` (per-iteration cost
 model).  Exit status: 0 probable prime / success, 1 composite or factor
 found, 2 usage error, 3 search or sampling exhausted.
 
+``test`` decides each n with the extension methods through
+``frobenius.run_rounds``: the screen, the B^2 shortcut and the small-c
+search run once per n, and each of ``--rounds`` rounds only draws
+parameters and runs steps 3-5.  The baselines (fermat, strong, lucas) draw
+and test once per round.  With ``--stdin``, a bad line or an exhausted
+search or sampler is reported as ``error: line K: ...`` and the rest of
+the batch is still tested; the exit status is the worst one seen.
+
 Every randomized subcommand accepts ``--seed`` and echoes the seed it used,
 so any run can be reproduced byte for byte.
 """
@@ -18,11 +26,11 @@ import random
 import sys
 from typing import Optional
 
-from .arith import TRIAL_DIVISION_BOUND, as_fraction
+from .arith import as_fraction
 from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
-from .frobenius import (
-    CompositeReason,
-    FactorFound,
+# initial_screen, qft, rqft, rqft_with_small_c and the three samplers are
+# not called here; benchmarks/tracing.py wraps them under these names.
+from .frobenius import (  # noqa: F401
     ParamSearchExhausted,
     Verdict,
     fermat_test,
@@ -33,6 +41,7 @@ from .frobenius import (
     qft,
     rqft,
     rqft_with_small_c,
+    run_rounds,
     sample_nonresidue,
     strong_test,
 )
@@ -90,23 +99,7 @@ def _sample_lucas_params(n: int, rng: random.Random) -> "tuple[int, int]":
 
 
 def _one_round(n: int, method: str, args, rng: random.Random, counter: OpCounter) -> Verdict:
-    if method == "qft":
-        try:
-            params = generate_qft_params(n, rng)
-        except FactorFound as found:
-            return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor)
-        return qft(n, params, counter)
-    if method == "rqft":
-        try:
-            c = sample_nonresidue(n, rng)
-            params = generate_rqft_params(n, c, rng)
-        except FactorFound as found:
-            return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor)
-        return rqft(n, params, counter)
-    if method == "rqft-smallc":
-        delta = as_fraction(args.delta) if args.delta is not None else None
-        verdict, _, _ = rqft_with_small_c(n, rng, delta=delta, counter=counter)
-        return verdict
+    """One round of a baseline method: draw its base or parameters, then test."""
     if method == "fermat":
         return fermat_test(n, _pick_base(n, rng, args.base), counter)
     if method == "strong":
@@ -118,25 +111,12 @@ def _one_round(n: int, method: str, args, rng: random.Random, counter: OpCounter
 def _test_one(n: int, args, rng: random.Random, seed: Optional[int]) -> "tuple[dict, int]":
     method = args.method
     counter = OpCounter()
-    verdict: Optional[Verdict] = None
-    rounds_run = 0
     if n == 2:
-        verdict = Verdict.probable_prime()
+        verdict, rounds_run = Verdict.probable_prime(), 0
     elif method in _EXTENSION_METHODS:
-        verdict = initial_screen(n)
-        if verdict is None:
-            if n <= TRIAL_DIVISION_BOUND**2:
-                # the screen is exhaustive up to B^2: surviving it proves n prime
-                verdict = Verdict.probable_prime()
-            else:
-                for _ in range(args.rounds):
-                    rounds_run += 1
-                    verdict = _one_round(n, method, args, rng, counter)
-                    if not verdict.is_probable_prime:
-                        break
+        verdict, rounds_run = run_rounds(n, method, rng, args.rounds, counter, delta=args.delta)
     else:
-        for _ in range(args.rounds):
-            rounds_run += 1
+        for rounds_run in range(1, args.rounds + 1):
             verdict = _one_round(n, method, args, rng, counter)
             if not verdict.is_probable_prime:
                 break
@@ -176,14 +156,20 @@ def cmd_test(args) -> int:
     rng = random.Random(seed)
     worst = EXIT_PROBABLE_PRIME
     for where, token in entries:
-        # a bad entry is reported and skipped; it draws nothing from rng
+        # a bad entry is reported and skipped; it draws nothing from rng.  An
+        # exhausted search or sampler is reported too, after its draws.
         try:
             n = _valid_n(token)
         except ValueError as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_USAGE)
             continue
-        report, code = _test_one(n, args, rng, seed)
+        try:
+            report, code = _test_one(n, args, rng, seed)
+        except (NonresidueNotFound, ParamSearchExhausted) as exc:
+            print(f"error: {where}{exc}", file=sys.stderr)
+            worst = max(worst, EXIT_EXHAUSTED)
+            continue
         _emit(report, args.output)
         worst = max(worst, code)
     return worst
@@ -321,9 +307,6 @@ def _main(argv) -> int:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (NonresidueNotFound, ParamSearchExhausted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -18,6 +18,11 @@ Steps 1-2 fully decide any n <= B^2 (a composite there has a prime factor
 <= isqrt(n) <= B), so by default the extension steps never run for such n;
 pass ``force_extension_steps=True`` to exercise them anyway.
 
+``qft`` and ``rqft`` run one round on given parameters and check them
+first.  ``run_rounds`` decides n by several rounds: steps 1-2, the B^2
+shortcut and (for the small-c variant) the nonresidue search run once per
+n, and each round draws fresh parameters and runs steps 3-5.
+
 Parameter generation, the Fermat/strong/Lucas baseline tests, and the
 change-of-form parameter map live here too.  Randomized helpers take an
 injected ``random.Random``-style source so every behavior is reproducible
@@ -40,6 +45,8 @@ from .arith import (
     trial_divide,
     two_adic_split,
 )
+from . import nonresidue
+from .nonresidue import NonresidueNotFound
 from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
 
 __all__ = [
@@ -61,6 +68,7 @@ __all__ = [
     "qft",
     "rqft",
     "rqft_with_small_c",
+    "run_rounds",
     "sample_nonresidue",
     "step5_chain",
     "step5_naive",
@@ -271,26 +279,50 @@ def sample_nonresidue(n: int, rng) -> int:
     raise ParamSearchExhausted(f"no nonresidue found for n={n} in {RETRY_CAP} draws")
 
 
-def _check_qft_params(n: int, params: QftParams) -> int:
-    """Validate the symbol conditions; returns the step-4 target (-c mod n)."""
+def _check_qft_params(n: int, params: QftParams) -> None:
+    """Raise ValueError unless jacobi(b^2 + 4c, n) = -1 and jacobi(-c, n) = +1."""
     b, c = params.b % n, params.c % n
     d = (b * b + 4 * c) % n
     if jacobi(d, n) != -1:
         raise ValueError("invalid parameters: jacobi(b^2 + 4c, n) must be -1")
     if jacobi(n - c, n) != 1:
         raise ValueError("invalid parameters: jacobi(-c, n) must be +1")
-    return (n - c) % n
 
 
-def _check_rqft_params(n: int, params: RqftParams) -> int:
-    """Validate the symbol conditions; returns the step-4 target (b^2 - c*a^2 mod n)."""
+def _check_rqft_params(n: int, params: RqftParams) -> None:
+    """Raise ValueError unless jacobi(c, n) = -1 and jacobi(b^2 - c*a^2, n) = +1."""
     a, b, c = params.a % n, params.b % n, params.c % n
     if jacobi(c, n) != -1:
         raise ValueError("invalid parameters: jacobi(c, n) must be -1")
-    e = (b * b - c * a * a) % n
-    if jacobi(e, n) != 1:
+    if jacobi((b * b - c * a * a) % n, n) != 1:
         raise ValueError("invalid parameters: jacobi(b^2 - c*a^2, n) must be +1")
-    return e
+
+
+def _run_round(
+    n: int,
+    params: "QftParams | RqftParams",
+    counter: Optional[OpCounter],
+    phases: Optional[PhaseCounters] = None,
+    small_c: bool = False,
+) -> Verdict:
+    """Steps 3-5 for parameters known to be valid for n.
+
+    Builds the ring, the test element and the step-4 target from the
+    parameters: z = x and -c for the general form, z = a*x + b and
+    b^2 - c*a^2 for the pure form.
+    """
+    if isinstance(params, QftParams):
+        ring = ExtensionRing.general(n, params.b, params.c)
+        z, target = QuadExtElement(0, 1), (n - ring.c) % n
+    else:
+        ring = ExtensionRing.pure(n, params.c, small=small_c)
+        a, b = params.a % n, params.b % n
+        z, target = QuadExtElement(b, a), (b * b - ring.c * a * a) % n
+    ph = phases if phases is not None else PhaseCounters.fresh()
+    verdict = _extension_steps(z, ring, target, ph)
+    if counter is not None:
+        counter += ph.total()
+    return verdict
 
 
 def _extension_steps(
@@ -427,13 +459,8 @@ def qft(
         return screen
     if n <= TRIAL_DIVISION_BOUND ** 2 and not force_extension_steps:
         return Verdict.probable_prime()
-    target = _check_qft_params(n, params)
-    ph = phases if phases is not None else PhaseCounters.fresh()
-    ring = ExtensionRing.general(n, params.b, params.c)
-    verdict = _extension_steps(QuadExtElement(0, 1), ring, target, ph)
-    if counter is not None:
-        counter += ph.total()
-    return verdict
+    _check_qft_params(n, params)
+    return _run_round(n, params, counter, phases)
 
 
 def rqft(
@@ -468,14 +495,8 @@ def _rqft_screened(
     """``rqft`` after steps 1-2 passed: the B^2 shortcut, the parameter check and steps 3-5."""
     if n <= TRIAL_DIVISION_BOUND ** 2 and not force_extension_steps:
         return Verdict.probable_prime()
-    target = _check_rqft_params(n, params)
-    ph = phases if phases is not None else PhaseCounters.fresh()
-    ring = ExtensionRing.pure(n, params.c, small=small_c)
-    z = QuadExtElement(params.b % n, params.a % n)
-    verdict = _extension_steps(z, ring, target, ph)
-    if counter is not None:
-        counter += ph.total()
-    return verdict
+    _check_rqft_params(n, params)
+    return _run_round(n, params, counter, phases, small_c)
 
 
 def rqft_with_small_c(
@@ -496,13 +517,11 @@ def rqft_with_small_c(
     search fail; that failure is reported, never swallowed).  Steps 1-2 run
     once, before the search; the test proper then skips them.
     """
-    from .nonresidue import NonresidueNotFound, find_small_nonresidue
-
     n = modulus_value(n)
     screen = initial_screen(n)
     if screen is not None:
         return screen, None, None
-    outcome = find_small_nonresidue(n, delta=delta)
+    outcome = nonresidue.find_small_nonresidue(n, delta=delta)
     if outcome.factor is not None:
         return (
             Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor),
@@ -521,6 +540,61 @@ def rqft_with_small_c(
         )
     verdict = _rqft_screened(n, params, counter, phases, force_extension_steps, small_c=True)
     return verdict, outcome, params
+
+
+def run_rounds(
+    n: int,
+    method: str,
+    rng,
+    rounds: int,
+    counter: Optional[OpCounter],
+    *,
+    delta=None,
+) -> "tuple[Verdict, int]":
+    """Decide n by up to ``rounds`` rounds of "qft", "rqft" or "rqft-smallc".
+
+    Returns (verdict, rounds run).  The work that depends on n alone runs
+    once: steps 1-2 and the B^2 shortcut (either decides with 0 rounds),
+    then for "rqft-smallc" the small-nonresidue search with exponent
+    ``delta`` (a factor it finds decides after 1 round; an exhausted
+    search raises NonresidueNotFound).  Each round draws parameters as the
+    method's samplers do, in the same order from ``rng``, and runs steps
+    3-5; a factor found by a sampler or a composite step ends the run.
+    The samplers return only parameters whose symbols they have checked,
+    so the rounds do not check them again.  ``counter`` receives the ops
+    of every round.
+    """
+    if method not in ("qft", "rqft", "rqft-smallc"):
+        raise ValueError(f"unknown extension method {method!r}")
+    if rounds < 1:
+        raise ValueError("rounds must be at least 1")
+    n = modulus_value(n)
+    verdict = initial_screen(n)
+    if verdict is not None:
+        return verdict, 0
+    if n <= TRIAL_DIVISION_BOUND ** 2:
+        return Verdict.probable_prime(), 0
+    small_c = None
+    if method == "rqft-smallc":
+        outcome = nonresidue.find_small_nonresidue(n, delta=delta)
+        if outcome.factor is not None:
+            return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor), 1
+        if outcome.c is None:
+            raise NonresidueNotFound(n, outcome.examined)
+        small_c = outcome.c
+    for k in range(1, rounds + 1):
+        try:
+            if method == "qft":
+                params = generate_qft_params(n, rng)
+            else:
+                c = small_c if small_c is not None else sample_nonresidue(n, rng)
+                params = generate_rqft_params(n, c, rng)
+        except FactorFound as found:
+            return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor), k
+        verdict = _run_round(n, params, counter, small_c=small_c is not None)
+        if not verdict.is_probable_prime:
+            return verdict, k
+    return verdict, rounds
 
 
 def pure_form_of(n: int, params: QftParams) -> RqftParams:

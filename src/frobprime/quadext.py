@@ -22,7 +22,8 @@ Operation counting follows the cost conventions used by the cost model:
   (``generic=True`` / ``generic_squares=True``) skip the scalar squaring
   shortcut and book every step at the full formula's cost.
 
-``ext_square``, ``ext_mul`` and ``mul_by_x`` book each call as it runs.
+``ext_square``, ``ext_mul`` and ``mul_by_x`` book each call as it runs;
+like ``ext_pow``'s loop, they reduce once per output coefficient.
 ``ext_pow`` books what the plain binary ladder of those calls would book,
 computed once from the exponent's bit length and popcount, the ring form,
 the small-c flag and the number of steps whose accumulator was scalar.  Its
@@ -248,7 +249,9 @@ def ext_square(
     """e*e with the cheap squaring formula; equals ext_mul(e, e) in value.
 
     (u + v*x)^2 = (u^2 + c*v^2) + (2uv + b*v^2)*x, with 2uv recovered from
-    (u+v)^2 - u^2 - v^2.  A scalar (v == 0) books exactly one squaring,
+    (u+v)^2 - u^2 - v^2; each output coefficient is reduced once, and v^2
+    first only where a full-size b or c multiplies it.  A scalar (v == 0)
+    books exactly one squaring,
     unless ``generic=True``: a chain with a fixed per-step cost contract
     runs branch-free at the full formula's cost instead of testing each
     intermediate for scalarness (an intermediate power can land in the
@@ -260,14 +263,16 @@ def ext_square(
         if counter is not None:
             counter.squarings += 1
         return QuadExtElement(u * u % n, 0)
-    uu = u * u % n
-    vv = v * v % n
-    t = u + v
-    two_uv = (t * t - uu - vv) % n
     if counter is not None:
         _book_op(ring, counter, square=True)
+    uu = u * u
+    vv = v * v
+    t = u + v
+    two_uv = t * t - uu - vv
+    if ring.small_c_bits is None:
+        vv %= n  # before the product by a full-size b or c
     if ring.b is None:
-        return QuadExtElement((uu + ring.c * vv) % n, two_uv)
+        return QuadExtElement((uu + ring.c * vv) % n, two_uv % n)
     return QuadExtElement((uu + ring.c * vv) % n, (two_uv + ring.b * vv) % n)
 
 
@@ -280,7 +285,8 @@ def ext_mul(
     """Ring product with x^2 reduced by the ring's form.
 
     (u1 + v1*x)(u2 + v2*x) = (u1*u2 + c*v1*v2) + (u1*v2 + v1*u2 + b*v1*v2)*x,
-    with the cross term recovered Karatsuba-style from (u1+v1)(u2+v2).
+    with the cross term recovered Karatsuba-style from (u1+v1)(u2+v2) and
+    reductions placed as in ``ext_square``.
     """
     n = ring.n
     u1, v1 = e1
@@ -297,13 +303,15 @@ def ext_mul(
         if counter is not None:
             counter.full_mults += 2
         return QuadExtElement(s * u % n, s * v % n)
-    p = u1 * u2 % n
-    q = v1 * v2 % n
-    cross = ((u1 + v1) * (u2 + v2) - p - q) % n
     if counter is not None:
         _book_op(ring, counter, square=False)
+    p = u1 * u2
+    q = v1 * v2
+    cross = (u1 + v1) * (u2 + v2) - p - q
+    if ring.small_c_bits is None:
+        q %= n  # before the product by a full-size b or c
     if ring.b is None:
-        return QuadExtElement((p + ring.c * q) % n, cross)
+        return QuadExtElement((p + ring.c * q) % n, cross % n)
     return QuadExtElement((p + ring.c * q) % n, (cross + ring.b * q) % n)
 
 

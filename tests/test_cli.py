@@ -4,8 +4,15 @@ import io
 import json
 import re
 import sys
+from pathlib import Path
 
+import pytest
+
+from frobprime import frobenius, nonresidue
 from frobprime.cli import main
+from frobprime.nonresidue import SearchOutcome
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_test_stdin.json").read_text())
 
 
 def run(capsys, *argv):
@@ -123,6 +130,49 @@ def test_stdin_reports_each_bad_line_and_tests_the_rest(capsys, monkeypatch):
         assert (clean_code, clean_err) == (1, "")  # 341 is composite
         assert out == clean_out
         assert [json.loads(line)["n"] for line in out.splitlines()] == [int(n) for n in good]
+
+
+@pytest.mark.parametrize("run_key", sorted(GOLDEN["runs"]))
+def test_stdin_batch_matches_the_golden_output(capsys, monkeypatch, run_key):
+    # expected output recorded before each n was decided in one pass; the
+    # batch mixes primes = 1 and 3 mod 4 at 64 and 256 bits, a prime below
+    # B^2, Chernick Carmichael numbers, a step-3 semiprime, small-factor
+    # composites and 2
+    method, output = run_key.split("/")
+    expected = GOLDEN["runs"][run_key]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(GOLDEN["batch"]) + "\n"))
+    code, out, err = run(capsys, "test", "--stdin", "--method", method, "--rounds", str(GOLDEN["rounds"]),
+                         "--seed", str(GOLDEN["seed"]), "--output", output)
+    assert (code, err) == (expected["exit"], "")
+    assert out.splitlines() == expected["stdout"]
+
+
+def test_an_exhausted_line_is_reported_and_the_batch_goes_on(capsys, monkeypatch):
+    batch = "4611686018427388039\n15\n1000036000099\n"  # prime, 3 * 5, 1000003 * 1000033
+    errors = {
+        "qft": "no valid (b, c) for n={n} in 0 draws",
+        "rqft": "no nonresidue found for n={n} in 0 draws",
+        "rqft-smallc": "no nonresidue below the cap for n={n} (7 candidates examined)",
+    }
+    monkeypatch.setattr(frobenius, "RETRY_CAP", 0)
+    # the search is looked up on its module at call time, so this stub is seen
+    monkeypatch.setattr(nonresidue, "find_small_nonresidue", lambda n, delta=None: SearchOutcome(None, None, 7))
+    for method, error in errors.items():
+        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+        code, out, err = run(capsys, "test", "--stdin", "--method", method, "--seed", "5", "--rounds", "2")
+        assert code == 3
+        assert err.splitlines() == [
+            "error: line 1: " + error.format(n=4611686018427388039),
+            "error: line 3: " + error.format(n=1000036000099),
+        ]
+        assert out.splitlines() == [
+            f"n=15 method={method} verdict=composite reason=small-factor factor=3 rounds_run=0 seed=5 "
+            "ops.squarings=0 ops.full_mults=0 ops.small_mults=0 ops.param_mults=0 ops.small_bits_ratio=0.0"
+        ]
+        # a single n still prints the bare error and exits 3
+        code, out, err = run(capsys, "test", "1000036000099", "--method", method)
+        assert (code, out) == (3, "")
+        assert err == "error: " + error.format(n=1000036000099) + "\n"
 
 
 def test_numbers_over_4300_digits(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """The quadratic tests, their parameter generators, and the classical baselines."""
 
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from sympy import isprime, nextprime
 
 from frobprime import frobenius, nonresidue
 from frobprime.arith import TRIAL_DIVISION_BOUND, jacobi, primes_up_to
+from frobprime.cli import main
 from frobprime.frobenius import (
     RETRY_CAP,
     CompositeReason,
@@ -26,6 +28,7 @@ from frobprime.frobenius import (
     qft,
     rqft,
     rqft_with_small_c,
+    run_rounds,
     sample_nonresidue,
     step5_chain,
     step5_naive,
@@ -267,6 +270,117 @@ def test_small_c_wrapper_never_computes_the_exact_cap_at_2048_bits(monkeypatch):
 
     monkeypatch.setattr(nonresidue, "ceil_frac_pow", no_exact_cap)
     assert rqft_with_small_c(PRIME_2048, random.Random(5)) == expected
+
+
+def _rounds_by_calls(n, method, rng, rounds, counter):
+    """The reference: every round is a full qft / rqft / rqft_with_small_c call."""
+    verdict = initial_screen(n)
+    if verdict is not None:
+        return verdict, 0
+    if n <= TRIAL_DIVISION_BOUND**2:
+        return Verdict.probable_prime(), 0
+    for k in range(1, rounds + 1):
+        try:
+            if method == "qft":
+                verdict = qft(n, generate_qft_params(n, rng), counter)
+            elif method == "rqft":
+                verdict = rqft(n, generate_rqft_params(n, sample_nonresidue(n, rng), rng), counter)
+            else:
+                verdict = rqft_with_small_c(n, rng, counter=counter)[0]
+        except FactorFound as found:
+            verdict = Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor)
+        if not verdict.is_probable_prime:
+            return verdict, k
+    return verdict, rounds
+
+
+def test_run_rounds_matches_a_call_per_round():
+    rng = random.Random(20261018)
+    numbers = [nextprime(rng.getrandbits(bits)) for bits in (40, 64, 64, 256)]
+    numbers += _chernick_carmichaels(3) + [1729, 1000003, 104729**2, 1000003 * 1000033, 3 * numbers[1]]
+    numbers += [rng.getrandbits(64) | 1 for _ in range(40)]
+    for n in numbers:
+        for method in ("qft", "rqft", "rqft-smallc"):
+            for rounds in (1, 4):
+                counter, ref_counter = OpCounter(), OpCounter()
+                got = run_rounds(n, method, random.Random(n), rounds, counter)
+                assert got == _rounds_by_calls(n, method, random.Random(n), rounds, ref_counter), (n, method)
+                assert counter.as_dict() == ref_counter.as_dict()
+
+
+def test_run_rounds_reports_a_search_factor_after_one_round(monkeypatch):
+    n = 1000003 * 1000033
+    monkeypatch.setattr(nonresidue, "find_small_nonresidue", lambda m, delta=None: SearchOutcome(None, 1000003, 5))
+    verdict, rounds_run = run_rounds(n, "rqft-smallc", random.Random(1), 4, None)
+    assert (verdict, rounds_run) == (Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, 1000003), 1)
+    monkeypatch.setattr(nonresidue, "find_small_nonresidue", lambda m, delta=None: SearchOutcome(None, None, 5))
+    with pytest.raises(nonresidue.NonresidueNotFound):
+        run_rounds(n, "rqft-smallc", random.Random(1), 4, None)
+
+
+def test_run_rounds_rejects_bad_arguments():
+    with pytest.raises(ValueError):
+        run_rounds(2500000033, "strong", random.Random(1), 1, None)
+    with pytest.raises(ValueError):
+        run_rounds(2500000033, "qft", random.Random(1), 0, None)
+    with pytest.raises(ValueError):
+        run_rounds(2500000033, "rqft-smallc", random.Random(1), 1, None, delta="0.2")
+
+
+def test_each_n_is_screened_and_searched_once_and_symbols_come_from_the_samplers(monkeypatch, capsys):
+    p = nextprime(random.Random(256).getrandbits(256) | 1 << 255)
+    for method in ("qft", "rqft", "rqft-smallc"):
+        calls = {"screen": 0, "search": 0, "sampler_jacobi": 0, "other_jacobi": 0}
+        in_sampler = []
+
+        def count(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        def sampler(fn):
+            def wrapped(*args, **kwargs):
+                in_sampler.append(fn)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    in_sampler.pop()
+
+            return wrapped
+
+        def jacobi_by_caller(a, n, _jacobi=frobenius.jacobi):
+            calls["sampler_jacobi" if in_sampler else "other_jacobi"] += 1
+            return _jacobi(a, n)
+
+        monkeypatch.setattr(frobenius, "initial_screen", count("screen", frobenius.initial_screen))
+        monkeypatch.setattr(nonresidue, "find_small_nonresidue", count("search", nonresidue.find_small_nonresidue))
+        for name in ("generate_qft_params", "generate_rqft_params", "sample_nonresidue"):
+            monkeypatch.setattr(frobenius, name, sampler(getattr(frobenius, name)))
+        monkeypatch.setattr(frobenius, "jacobi", jacobi_by_caller)
+        code = main(["test", str(p), "--method", method, "--rounds", "4", "--seed", "3", "--output", "json"])
+        monkeypatch.undo()
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["rounds_run"] == 4
+        assert calls["screen"] == 1
+        assert calls["search"] == (method == "rqft-smallc")
+        assert calls["other_jacobi"] == 0
+        assert calls["sampler_jacobi"] >= 8  # each round's accepted draw checks two symbols
+    # direct calls still check their parameters
+    pairs = [(x, y) for x in range(40) for y in range(1, 40)]
+    b, c = next((b, c) for b, c in pairs if jacobi(b * b + 4 * c, p) == 1)
+    with pytest.raises(ValueError, match="b\\^2 \\+ 4c"):
+        qft(p, QftParams(b, c))
+    b, c = next((b, c) for b, c in pairs if jacobi(b * b + 4 * c, p) == jacobi(-c, p) == -1)
+    with pytest.raises(ValueError, match="-c, n"):
+        qft(p, QftParams(b, c))
+    with pytest.raises(ValueError, match="jacobi\\(c, n\\)"):
+        rqft(p, RqftParams(1, 0, 4))
+    c = find_small_nonresidue(p).c
+    b, a = next((b, a) for b, a in pairs if jacobi(b * b - c * a * a, p) == -1)
+    with pytest.raises(ValueError, match="b\\^2 - c\\*a\\^2"):
+        rqft(p, RqftParams(a, b, c), small_c=True)
 
 
 def test_search_outcome_kinds():

@@ -115,6 +115,28 @@ def test_square_equals_self_multiplication():
         assert ext_square(a, ring, generic=True) == ext_square(a, ring)
 
 
+def test_products_match_the_schoolbook_formula_in_every_form():
+    # x^2 = b*x + c, with b = 0 for the pure form; small=True changes only where v^2 is reduced
+    rng = random.Random(59)
+    for bits in (8, 64, 256, 2048):
+        for _ in range(30):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            rings = [
+                ExtensionRing.general(n, rng.randrange(n), rng.randrange(n)),
+                ExtensionRing.pure(n, rng.randrange(n)),
+                ExtensionRing.pure(n, rng.randrange(2, 1 << 20), small=True),
+            ]
+            for ring in rings:
+                b = ring.b or 0
+                (u1, v1), (u2, v2) = _rand_elem(rng, n), _rand_elem(rng, n)
+                vv = v1 * v2
+                expected = ((u1 * u2 + ring.c * vv) % n, (u1 * v2 + v1 * u2 + b * vv) % n)
+                assert ext_mul(QuadExtElement(u1, v1), QuadExtElement(u2, v2), ring) == expected
+                vv = v1 * v1
+                expected = ((u1 * u1 + ring.c * vv) % n, (2 * u1 * v1 + b * vv) % n)
+                assert ext_square(QuadExtElement(u1, v1), ring) == expected
+
+
 def test_mul_by_x_matches_general_multiplication():
     rng = random.Random(47)
     x = QuadExtElement(0, 1)
