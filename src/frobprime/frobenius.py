@@ -211,7 +211,10 @@ def generate_qft_params(n: int, rng) -> QftParams:
     b is drawn from [0, n-1] and c from [1, n-1]; requiring b >= 1 would
     leave n = 3 with no valid pair at all.  A zero Jacobi symbol raises
     FactorFound with the nontrivial gcd; b^2 + 4c = 0 mod n is resampled
-    (its gcd is n, which proves nothing).  Gives up after RETRY_CAP draws.
+    (its gcd is n, which proves nothing).  jacobi(-c, n) is computed only
+    for a draw whose jacobi(b^2 + 4c, n) is -1; on any other draw gcd(c, n)
+    stands in for it, raising the same FactorFound where that symbol would
+    be 0.  Gives up after RETRY_CAP draws.
     """
     n = modulus_value(n)
     for _ in range(RETRY_CAP):
@@ -223,10 +226,16 @@ def generate_qft_params(n: int, rng) -> QftParams:
         jd = jacobi(d, n)
         if jd == 0:
             raise FactorFound(math.gcd(d, n))
+        if jd != -1:
+            # jacobi(-c, n) would only matter when 0, that is when gcd(c, n) > 1
+            g = math.gcd(c, n)
+            if g > 1:
+                raise FactorFound(g)
+            continue
         jc = jacobi(n - c, n)
         if jc == 0:
             raise FactorFound(math.gcd(c, n))
-        if jd == -1 and jc == 1:
+        if jc == 1:
             return QftParams(b, c)
     raise ParamSearchExhausted(f"no valid (b, c) for n={n} in {RETRY_CAP} draws")
 
@@ -371,8 +380,15 @@ def _step5_from_intermediates(
     * If t = 1, every level j >= r2 - 1 equals 1, so only z^s itself and the
       levels j <= r2 - 2 matter; z^s = y^s1 is recomputed directly.
 
-    When steps 3-4 passed, w is a scalar, so the t-ladder and the usual
-    (t != 1) chain run entirely in the base ring.
+    When steps 3-4 passed, w is a scalar, so t = w^s1 is one built-in pow
+    and the usual (t != 1) chain runs entirely in the base ring.  Then t = 1
+    makes y a unit whose power y^(2^(r2-1)) = w is scalar, and ext_pow
+    computes y^s1 from the least scalar power y^(2^a), a <= r2 - 1:
+    (y^(2^a))^(s1 >> a) by one more built-in pow, times y^(s1 mod 2^a) by a
+    ladder of a bits.  No second extension ladder of s1's length runs,
+    unless r2 exceeds half of s1's bits (n = 2^k - 1, say), where the plain
+    ladder is cheaper.  Both powers book what the plain binary ladder
+    books: ext_pow derives its scalar steps in closed form from a.
     """
     n = ring.n
     one = QuadExtElement(1, 0)
@@ -406,7 +422,11 @@ def step5_chain(z: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCoun
     """Step 5 via the optimized chain; value-equivalent to step5_naive for every z.
 
     Splits n^2 - 1 through the factors n - 1 and n + 1 and reuses the
-    intermediates a full test run already has from step 3.
+    intermediates a full test run already has from step 3.  For an
+    arbitrary z, w = z^((n+1)/2) need not be scalar; t = w^s1 is then an
+    extension ladder, and so is y^s1 unless y is a unit with a scalar power
+    y^(2^a) for some a <= v2(n+1) (see ext_pow).  Values and bookings are
+    those of the plain ladders either way.
     """
     n = ring.n
     r2, s2 = two_adic_split(n + 1)

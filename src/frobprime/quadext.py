@@ -29,14 +29,16 @@ computed once from the exponent's bit length and popcount, the ring form,
 the small-c flag and the number of steps whose accumulator was scalar.  Its
 executed code differs: the ladder runs on local ints and reduces once per
 output coefficient (2 reductions per pure-form operation with a small c,
-3 where v^2 must be reduced before a full-size b or c multiplies it), and
-a scalar base is the built-in ``pow``.  The booked counts realize the
-per-operation cost model; the concrete bignum products and reductions
-differ, which never changes values.
+3 where v^2 must be reduced before a full-size b or c multiplies it), a
+scalar base is the built-in ``pow``, and so is all but a few bits of the
+power of a unit base with a scalar power e^(2^a).  The booked counts
+realize the per-operation cost model; the concrete bignum products and
+reductions differ, which never changes values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -357,7 +359,14 @@ def ext_pow(
     reduces once per output coefficient (the square of v is reduced first
     only where a full-size b or c multiplies it), counts the steps whose
     accumulator is scalar, and books every bucket once at the end.  A scalar
-    base is the built-in ``pow``.  The values are the ladder's.
+    base is the built-in ``pow``.  A base whose power e^(2^a) is a unit
+    scalar s for a small a (see ``_scalar_power``) skips most of the
+    ladder: e**exp = s^(exp >> a) * e^(exp mod 2^a), one built-in
+    ``pow`` and a ladder of a bits.  Such a base is a unit, so its scalar
+    powers are exactly the multiples of 2^a, and the ladder's scalar steps
+    follow from exp's bits in closed form.  ``generic_squares=True`` marks
+    the dominant ladder, whose base has no such power in practice, and
+    skips the probe.  The values are the ladder's.
     """
     if exp < 0:
         raise ValueError("ext_pow requires a nonnegative exponent")
@@ -376,10 +385,19 @@ def ext_pow(
             mult_counter.full_mults += mults
         return QuadExtElement(pow(u, exp, n), 0)
     is_x = u == 0 and v == 1
-    if ring.b is None:
-        acc, scalar_squares, scalar_mults = _pure_ladder(u, v, exp, n, ring.c, ring.small_c_bits is None, is_x)
+    split = None if generic_squares else _scalar_power(u, v, exp, ring)
+    if split is None:
+        acc, scalar_squares, scalar_mults = _ladder(u, v, exp, ring, is_x)
     else:
-        acc, scalar_squares, scalar_mults = _general_ladder(u, v, exp, n, ring.b, ring.c, is_x)
+        a, s = split
+        high = pow(s, exp >> a, n)
+        low = exp & ((1 << a) - 1)
+        if low:
+            lu, lv = _ladder(u, v, low, ring, is_x)[0]
+            acc = QuadExtElement(high * lu % n, high * lv % n)
+        else:
+            acc = QuadExtElement(high, 0)
+        scalar_squares, scalar_mults = _scalar_steps(exp, a)
     if counter is not None:
         if not generic_squares:
             counter.squarings += scalar_squares
@@ -392,6 +410,56 @@ def ext_pow(
             mult_counter.full_mults += 2 * scalar_mults
             _book_op(ring, mult_counter, mults - scalar_mults, square=False)
     return acc
+
+
+def _scalar_power(u: int, v: int, exp: int, ring: ExtensionRing) -> "Optional[tuple[int, int]]":
+    """(a, s) for the least a >= 1 with (u + v*x)^(2^a) = s, a unit scalar; else None.
+
+    Only a <= v2(n + 1) is tried: for prime n the units modulo scalars of
+    F_(n^2) form a cyclic group of order n + 1.  Nothing is tried when
+    v2(n + 1) exceeds half of exp's bits (n = 2^k - 1, say), where the
+    probe and the a-bit ladder can cost more than the ladder they replace.
+    The squarings are not booked.
+    """
+    n = ring.n
+    limit = ((n + 1) & -(n + 1)).bit_length() - 1
+    if 2 * limit >= exp.bit_length():
+        return None
+    e = QuadExtElement(u, v)
+    for a in range(1, limit + 1):
+        e = ext_square(e, ring)
+        if e.v == 0:
+            return (a, e.u) if math.gcd(e.u, n) == 1 else None
+    return None
+
+
+def _scalar_steps(exp: int, a: int) -> "tuple[int, int]":
+    """Scalar squaring and multiply steps of exp's binary ladder when the
+    base's scalar powers are exactly the multiples of 2^a, a >= 1.
+
+    The squaring step at bit k - 1 (k = bits(exp) - 1 .. 1) squares the power
+    at the prefix p = exp >> k, a scalar iff 2^a | p, that is, iff bits
+    k .. k + a - 1 of exp are 0.  The multiply step after it, taken when bit
+    k - 1 is set, meets the power at 2p, a scalar iff 2^(a - 1) | p.
+    """
+    squares = _zero_windows(exp, a) >> 1
+    mults = (_zero_windows(exp, a - 1) & exp << 1) >> 1
+    return squares.bit_count(), mults.bit_count()
+
+
+def _zero_windows(exp: int, width: int) -> int:
+    """The mask of bit positions k < bits(exp) with bits k .. k + width - 1 of exp all 0."""
+    windows = (1 << exp.bit_length()) - 1
+    for i in range(width):
+        windows &= ~exp >> i
+    return windows
+
+
+def _ladder(u: int, v: int, exp: int, ring: ExtensionRing, is_x: bool):
+    """The form's ladder kernel: (power, scalar squaring steps, scalar multiply steps)."""
+    if ring.b is None:
+        return _pure_ladder(u, v, exp, ring.n, ring.c, ring.small_c_bits is None, is_x)
+    return _general_ladder(u, v, exp, ring.n, ring.b, ring.c, is_x)
 
 
 def _pure_ladder(u: int, v: int, exp: int, n: int, c: int, full_c: bool, is_x: bool):

@@ -1,13 +1,14 @@
 """The quadratic tests, their parameter generators, and the classical baselines."""
 
 import json
+import math
 import random
 
 import pytest
-from sympy import isprime, nextprime
+from sympy import factorint, isprime, nextprime
 
 from frobprime import frobenius, nonresidue
-from frobprime.arith import TRIAL_DIVISION_BOUND, jacobi, primes_up_to
+from frobprime.arith import TRIAL_DIVISION_BOUND, jacobi, primes_up_to, two_adic_split
 from frobprime.cli import main
 from frobprime.frobenius import (
     RETRY_CAP,
@@ -35,7 +36,9 @@ from frobprime.frobenius import (
     strong_test,
 )
 from frobprime.nonresidue import SearchConfig, SearchOutcome, find_small_nonresidue
-from frobprime.quadext import ExtensionRing, OpCounter, QuadExtElement
+from frobprime.quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
+
+from test_quad_ext import _ext_pow_by_steps, _field, _prime_with_v2
 
 
 # a 2048-bit prime (checked with sympy.isprime)
@@ -183,6 +186,51 @@ def test_parameter_search_surfaces_factors_via_zero_symbols():
     with pytest.raises(FactorFound) as info:
         generate_qft_params(15, StubRng([3, 5]))
     assert info.value.factor == 5
+
+
+def _qft_params_with_both_symbols(n, rng, stood_in):
+    """generate_qft_params as it was: both symbols on every draw.  Counts in
+    ``stood_in`` the factors that jacobi(-c, n) = 0 raised on a draw that
+    jacobi(b^2 + 4c, n) had already rejected."""
+    for _ in range(RETRY_CAP):
+        b = rng.randrange(n)
+        c = rng.randrange(1, n)
+        d = (b * b + 4 * c) % n
+        if d == 0:
+            continue
+        jd = jacobi(d, n)
+        if jd == 0:
+            raise FactorFound(math.gcd(d, n))
+        jc = jacobi(n - c, n)
+        if jc == 0:
+            stood_in[0] += jd == 1
+            raise FactorFound(math.gcd(c, n))
+        if jd == -1 and jc == 1:
+            return QftParams(b, c)
+    raise ParamSearchExhausted(f"no valid (b, c) for n={n} in {RETRY_CAP} draws")
+
+
+def _outcome(sampler, *args):
+    try:
+        return sampler(*args)
+    except FactorFound as found:
+        return "factor", found.factor
+    except ParamSearchExhausted as exhausted:
+        return "exhausted", str(exhausted)
+
+
+def test_qft_sampler_matches_the_one_computing_both_symbols_on_every_draw():
+    stood_in = [0]
+    kinds = set()
+    for n in range(3, 5000, 2):
+        for seed in range(3):
+            rng, ref_rng = random.Random(seed * 5000 + n), random.Random(seed * 5000 + n)
+            got = _outcome(generate_qft_params, n, rng)
+            assert got == _outcome(_qft_params_with_both_symbols, n, ref_rng, stood_in), (n, seed)
+            assert rng.getstate() == ref_rng.getstate(), (n, seed)
+            kinds.add(got[0] if isinstance(got, tuple) else "params")
+    # the gcd stood in for a zero jacobi(-c, n) on a rejected draw
+    assert stood_in[0] > 500 and kinds == {"params", "factor", "exhausted"}, (stood_in, kinds)
 
 
 def test_parameter_search_exhausts_on_a_prime_square():
@@ -415,6 +463,165 @@ def test_step5_counters_favor_the_chain_for_test_elements():
     chain_cost = chain_counter.squarings + chain_counter.full_mults
     naive_cost = naive_counter.squarings + naive_counter.full_mults
     assert chain_cost < naive_cost
+
+
+def _step5_by_ladders(y, w, r2, ring, counter):
+    """Step 5 from y = z^s2 and w = y^(2^(r2-1)) with t = w^s1 and z^s = y^s1
+    both by the step-by-step ladder: the tail before ext_pow split a power
+    at a scalar power of its base."""
+    n = ring.n
+    one, minus_one = QuadExtElement(1, 0), QuadExtElement(n - 1, 0)
+    r1, s1 = two_adic_split(n - 1)
+    t = _ext_pow_by_steps(w, s1, ring, counter)
+    if t != one:
+        for _ in range(r1):
+            if t == minus_one:
+                return True
+            if t == one:
+                return False
+            t = ext_square(t, ring, counter)
+        return False
+    if r2 == 1:
+        return True
+    zeta = _ext_pow_by_steps(y, s1, ring, counter)
+    if zeta == one:
+        return True
+    for _ in range(r2 - 1):
+        if zeta == minus_one:
+            return True
+        if zeta == one:
+            return False
+        zeta = ext_square(zeta, ring, counter)
+    return False
+
+
+def _tail_against_the_ladders(y, ring):
+    """Run the step-5 tail from y and its ladder reference; compare the verdict
+    and the booked ops.  Returns (whether w is scalar, a), with a the least j
+    with y^(2^j) scalar when the tail reached z^s (t = 1), else None."""
+    n = ring.n
+    r2, _ = two_adic_split(n + 1)
+    w = y
+    for _ in range(r2 - 1):
+        w = ext_square(w, ring)
+    got, want = OpCounter(), OpCounter()
+    passed = frobenius._step5_from_intermediates(y, w, r2, ring, got)
+    assert passed == _step5_by_ladders(y, w, r2, ring, want), (ring, y)
+    assert got.as_dict() == want.as_dict(), (ring, y)
+    if w[1] or r2 == 1 or pow(w[0], two_adic_split(n - 1)[1], n) != 1:
+        return w[1] == 0, None
+    a = 0
+    while y[1]:
+        y = ext_square(y, ring)
+        a += 1
+    return True, a
+
+
+def test_step5_tail_matches_the_ladders_for_each_scalar_power():
+    rng = random.Random(20261020)
+    forms = ("general", "pure", "pure-small")
+    seen = {form: set() for form in forms}
+    for i in range(1400):
+        k = 2 + i % 7  # v2(n + 1), so a reaches k - 1
+        p = _prime_with_v2(rng, k, rng.choice((16, 48, 130)))
+        ring = _field(rng, p, forms[i % 3])
+        y = ext_pow(QuadExtElement(rng.randrange(p), rng.randrange(1, p)), (p + 1) >> k, ring)
+        _, a = _tail_against_the_ladders(y, ring)
+        if a is not None:
+            seen[forms[i % 3]].add(a)
+    for form in forms:
+        assert seen[form] >= set(range(6)), (form, seen[form])
+
+
+def test_step5_tail_matches_the_ladders_where_y_is_x():
+    # n + 1 = 2^k makes s2 = 1, so the qft element z = x is y itself, and
+    # z^s = x^s1 books its multiply steps as mul_by_x
+    rng = random.Random(61)
+    for k in (61, 89, 127):
+        n = 2**k - 1
+        reached = 0
+        for _ in range(12):
+            params = generate_qft_params(n, rng)
+            ph = PhaseCounters.fresh()
+            assert qft(n, params, phases=ph).is_probable_prime
+            ring = ExtensionRing.general(n, params.b, params.c)
+            x = QuadExtElement(0, 1)
+            w = x
+            for _ in range(k - 1):
+                w = ext_square(w, ring)
+            tail = OpCounter()
+            ext_square(w, ring, tail)  # step 4
+            assert _step5_by_ladders(x, w, k, ring, tail)
+            assert ph.tail.as_dict() == tail.as_dict()
+            reached += pow(w[0], (n - 1) // 2, n) == 1
+        assert reached >= 3, (k, reached)
+
+
+def _composite_tail_elements(n, rng, count):
+    """Elements y for the step-5 tail over a composite n: z^odd(n + 1) as in a
+    run, and z^(2^j * m) with m the odd part of a multiple of the unit group's
+    exponent.  The latter have 2-power order, so w and t are scalar and t = 1
+    far more often."""
+    g = 1
+    for f in factorint(n):
+        g *= (f * f - 1) * f
+    e, m = two_adic_split(g)
+    s2 = two_adic_split(n + 1)[1]
+    for i in range(count):
+        z = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
+        yield z, s2 if i % 2 else m << rng.randrange(e + 1)
+
+
+def test_step5_tail_matches_the_ladders_on_chernick_and_p_2p_minus_1_composites():
+    rng = random.Random(20261021)
+    cases = [("chernick", n) for n in _chernick_carmichaels(3)]
+    p = TRIAL_DIVISION_BOUND
+    while len(cases) < 6:
+        p = nextprime(p)
+        # v2(n + 1) >= 3 leaves room for y^(2^a) with 1 <= a < r2
+        if isprime(2 * p - 1) and p * (2 * p - 1) % 8 == 7:
+            cases.append(("p(2p-1)", p * (2 * p - 1)))
+    scalar_w = {"chernick": 0, "p(2p-1)": 0}
+    split = 0
+    # Forced qft rounds on these numbers end at step 3, so the tail is driven
+    # directly, from elements whose w is scalar far more often.
+    for family, n in cases:
+        for form in ("general", "pure", "pure-small"):
+            if form == "general":
+                ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(1, n))
+            else:
+                ring = ExtensionRing.pure(n, rng.randrange(2, 60), small=form == "pure-small")
+            for z, e in _composite_tail_elements(n, rng, 100):
+                w_scalar, a = _tail_against_the_ladders(ext_pow(z, e, ring), ring)
+                scalar_w[family] += w_scalar
+                split += bool(a)
+    # Both families ran the scalar tail.  A Chernick number is 1 mod 4, so
+    # r2 = 1 and z^s is never needed; for p(2p-1), z^s ran through a split
+    # at y^(2^a), a >= 1.
+    assert min(scalar_w.values()) >= 50 and split >= 20, (scalar_w, split)
+
+
+def test_step5_chain_matches_the_ladders_with_a_non_scalar_w():
+    rng = random.Random(20261022)
+    non_scalar_w = reached = 0
+    for i in range(3000):
+        n = rng.randrange(3, 3000) | 1
+        if i % 3 == 0:
+            ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(n))
+        else:
+            ring = ExtensionRing.pure(n, rng.randrange(1, n), small=i % 3 == 2)
+        z = QuadExtElement(rng.randrange(n), rng.randrange(n))
+        r2, s2 = two_adic_split(n + 1)
+        got, want = OpCounter(), OpCounter()
+        y = _ext_pow_by_steps(z, s2, ring, want)
+        w = y
+        for _ in range(r2 - 1):
+            w = ext_square(w, ring, want)
+        assert step5_chain(z, ring, got) == _step5_by_ladders(y, w, r2, ring, want), (ring, z)
+        assert got.as_dict() == want.as_dict(), (ring, z)
+        non_scalar_w += w[1] != 0
+        reached += bool(_tail_against_the_ladders(y, ring)[1])
+    assert non_scalar_w > 2000 and reached >= 10, (non_scalar_w, reached)
 
 
 def test_phase_counters_split_and_total():

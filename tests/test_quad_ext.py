@@ -3,8 +3,9 @@
 import random
 
 import pytest
-from sympy import nextprime
+from sympy import isprime, nextprime
 
+from frobprime import quadext
 from frobprime.arith import jacobi, primes_up_to
 from frobprime.quadext import (
     ExtensionRing,
@@ -386,9 +387,62 @@ def _kernel_cases():
         low = rng.randrange(4)
         yield ring, base, (p + 1) << low | rng.getrandbits(low)
     yield ExtensionRing.pure(101, 5), QuadExtElement(3, 4), 0
+    yield from _split_cases()
 
 
-def test_ext_pow_kernel_matches_the_step_by_step_ladder():
+def _prime_with_v2(rng, k, bits):
+    """A prime p with v2(p + 1) = k."""
+    while True:
+        p = (rng.getrandbits(bits) << (k + 1)) + (1 << k) - 1
+        if p > 3 and isprime(p):
+            return p
+
+
+def _split_cases():
+    """(ring, base, exp) whose base is a unit with a scalar power base^(2^a)."""
+    rng = random.Random(20261019)
+    forms = ("general", "pure", "pure-small")
+    for i in range(900):
+        k = 1 + i % 8
+        p = _prime_with_v2(rng, k, rng.choice((8, 40, 120)))
+        ring = _field(rng, p, forms[i % 3])
+        # z^odd(p + 1) has 2-power order modulo scalars, so some a <= k makes it scalar
+        base = ext_pow(QuadExtElement(rng.randrange(p), rng.randrange(1, p)), (p + 1) >> k, ring)
+        if i % 5 == 0 and base[1]:
+            if ring.b is None:
+                base = QuadExtElement(0, 1)  # x^2 = c: a = 1
+            else:
+                # x plays base's part in the ring of base's minimal polynomial
+                u, v = base
+                trace, norm = 2 * u + ring.b * v, u * u + ring.b * u * v - ring.c * v * v
+                ring = ExtensionRing.general(p, trace, -norm)
+                base = QuadExtElement(0, 1)
+        exp = rng.choice((1, 2, 3, 1 << rng.randrange(1, 12), (1 << rng.randrange(1, 12)) - 1,
+                          rng.getrandbits(rng.choice((4, 16, 70, 300)))))
+        yield ring, base, exp << rng.choice((0, 0, 1, 3, 9))
+    # composite moduli, where base^(2^a) can be a scalar that is not a unit
+    for i in range(300):
+        p, q = (nextprime(2 + rng.getrandbits(rng.choice((8, 30)))) for _ in range(2))
+        n = p * q
+        if i % 3 == 0:
+            ring = ExtensionRing.pure(n, rng.randrange(n))
+            base = QuadExtElement(0, p * rng.randrange(1, q))  # base^2 = c*v^2 is 0 modulo p
+        else:
+            ring = _rand_ring(rng, n)
+            base = ext_pow(QuadExtElement(rng.randrange(n), rng.randrange(1, n)), 1 << rng.randrange(6), ring)
+        yield ring, base, rng.getrandbits(rng.choice((8, 60))) | 1
+
+
+def test_ext_pow_kernel_matches_the_step_by_step_ladder(monkeypatch):
+    splits = []
+    scalar_power = quadext._scalar_power
+
+    def recorded(*args):
+        split = scalar_power(*args)
+        splits.append(split and (split[0], args[:2] == (0, 1)))
+        return split
+
+    monkeypatch.setattr(quadext, "_scalar_power", recorded)
     scalar_squares = scalar_mults = 0
     for ring, base, exp in _kernel_cases():
         for generic in (False, True):
@@ -411,3 +465,5 @@ def test_ext_pow_kernel_matches_the_step_by_step_ladder():
                     scalar_mults += 6 * (bin(exp).count("1") - 1) - want[1].full_mults
     # the scalar-accumulator steps were exercised
     assert scalar_squares > 1000 and scalar_mults > 100, (scalar_squares, scalar_mults)
+    # powers split at every a from 1 to 7, with a general base and with x
+    assert {s for s in splits if s} >= {(a, is_x) for a in range(1, 8) for is_x in (False, True)}
