@@ -13,29 +13,16 @@ Library layout:
 - :mod:`frobprime.cost_model` — squaring-equivalent and Selfridge-unit cost
   accounting plus machine measurement;
 - :mod:`frobprime.cli` — the ``frobprime`` command.
+
+The package exports the API the README documents; every other name
+(``jacobi``, ``trial_divide``, ``initial_screen``, ``step5_chain``, the
+report dataclasses, ...) is imported from its submodule.
 """
 
-from .arith import (
-    SMALL_PRIMES,
-    TRIAL_DIVISION_BOUND,
-    TwoAdic,
-    as_fraction,
-    ceil_frac_pow,
-    floor_frac_pow,
-    iroot,
-    is_perfect_square,
-    jacobi,
-    mod_pow,
-    primes_up_to,
-    trial_divide,
-    two_adic_split,
-)
+from .arith import mod_pow
 from .cost_model import (
     DELTA_STAR,
-    PRESET_MS,
-    CostReport,
     CostWeights,
-    MeasuredCosts,
     Variant,
     cost_table,
     measure_m,
@@ -44,7 +31,6 @@ from .cost_model import (
     summarize,
 )
 from .frobenius import (
-    RETRY_CAP,
     CompositeReason,
     FactorFound,
     ParamSearchExhausted,
@@ -55,74 +41,39 @@ from .frobenius import (
     fermat_test,
     generate_qft_params,
     generate_rqft_params,
-    initial_screen,
     lucas_test,
     lucas_uv,
     pure_form_of,
     qft,
     rqft,
     rqft_with_small_c,
+    run_rounds,
     sample_nonresidue,
-    step5_chain,
-    step5_naive,
     strong_test,
 )
 from .nonresidue import (
     DEFAULT_DELTA,
     DELTA_THRESHOLD,
-    CharSumReport,
-    DensityReport,
     NonresidueNotFound,
     SearchConfig,
-    SearchOutcome,
     charsum_experiment,
     density_experiment,
     find_small_nonresidue,
 )
-from .quadext import (
-    ExtensionRing,
-    OpCounter,
-    QuadExtElement,
-    ext_add,
-    ext_mul,
-    ext_norm,
-    ext_pow,
-    ext_square,
-    frobenius_conjugate,
-    mul_by_x,
-)
+from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # arith
-    "SMALL_PRIMES",
-    "TRIAL_DIVISION_BOUND",
-    "TwoAdic",
-    "as_fraction",
-    "ceil_frac_pow",
-    "floor_frac_pow",
-    "iroot",
-    "is_perfect_square",
-    "jacobi",
     "mod_pow",
-    "primes_up_to",
-    "trial_divide",
-    "two_adic_split",
     # quadext
     "ExtensionRing",
     "OpCounter",
     "QuadExtElement",
-    "ext_add",
-    "ext_mul",
-    "ext_norm",
     "ext_pow",
-    "ext_square",
-    "frobenius_conjugate",
-    "mul_by_x",
     # frobenius
-    "RETRY_CAP",
     "CompositeReason",
     "FactorFound",
     "ParamSearchExhausted",
@@ -133,34 +84,26 @@ __all__ = [
     "fermat_test",
     "generate_qft_params",
     "generate_rqft_params",
-    "initial_screen",
     "lucas_test",
     "lucas_uv",
     "pure_form_of",
     "qft",
     "rqft",
     "rqft_with_small_c",
+    "run_rounds",
     "sample_nonresidue",
-    "step5_chain",
-    "step5_naive",
     "strong_test",
     # nonresidue
     "DEFAULT_DELTA",
     "DELTA_THRESHOLD",
-    "CharSumReport",
-    "DensityReport",
     "NonresidueNotFound",
     "SearchConfig",
-    "SearchOutcome",
     "charsum_experiment",
     "density_experiment",
     "find_small_nonresidue",
     # cost_model
     "DELTA_STAR",
-    "PRESET_MS",
-    "CostReport",
     "CostWeights",
-    "MeasuredCosts",
     "Variant",
     "cost_table",
     "measure_m",

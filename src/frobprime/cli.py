@@ -31,6 +31,7 @@ from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
 # initial_screen, qft, rqft, rqft_with_small_c and the three samplers are
 # not called here; benchmarks/tracing.py wraps them under these names.
 from .frobenius import (  # noqa: F401
+    RETRY_CAP,
     ParamSearchExhausted,
     Verdict,
     fermat_test,
@@ -87,8 +88,6 @@ def _pick_base(n: int, rng: random.Random, fixed: Optional[int]) -> int:
 
 
 def _sample_lucas_params(n: int, rng: random.Random) -> "tuple[int, int]":
-    from .frobenius import RETRY_CAP
-
     for _ in range(RETRY_CAP):
         P = rng.randrange(1, n)
         Q = rng.randrange(1, n)

@@ -18,10 +18,14 @@ Steps 1-2 fully decide any n <= B^2 (a composite there has a prime factor
 <= isqrt(n) <= B), so by default the extension steps never run for such n;
 pass ``force_extension_steps=True`` to exercise them anyway.
 
-``qft`` and ``rqft`` run one round on given parameters and check them
-first.  ``run_rounds`` decides n by several rounds: steps 1-2, the B^2
-shortcut and (for the small-c variant) the nonresidue search run once per
-n, and each round draws fresh parameters and runs steps 3-5.
+Every entry point decides n along one path.  The work that depends on n
+alone runs first and once: steps 1-2 and the B^2 shortcut (``_screen``),
+then, for the small-c variant, the nonresidue search (``_search``).  Only
+the parameter draw and steps 3-5 (``_run_round``) repeat per round.
+``qft`` and ``rqft`` run one round on parameters from the caller, which
+they check first; ``rqft_with_small_c`` runs one round of the small-c
+pipeline and ``run_rounds`` several rounds of any extension method, both
+on parameters their own samplers have just checked.
 
 Parameter generation, the Fermat/strong/Lucas baseline tests, and the
 change-of-form parameter map live here too.  Randomized helpers take an
@@ -46,7 +50,7 @@ from .arith import (
     two_adic_split,
 )
 from . import nonresidue
-from .nonresidue import NonresidueNotFound
+from .nonresidue import NonresidueNotFound, SearchOutcome
 from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
 
 __all__ = [
@@ -203,6 +207,27 @@ def initial_screen(n: int) -> Optional[Verdict]:
     if root * root == n:
         return Verdict.composite(CompositeReason.PERFECT_SQUARE, root)
     return None
+
+
+def _screen(n: int, force_extension_steps: bool = False) -> Optional[Verdict]:
+    """Steps 1-2, then the B^2 shortcut: the verdict they reach, else None."""
+    verdict = initial_screen(n)
+    if verdict is None and n <= TRIAL_DIVISION_BOUND ** 2 and not force_extension_steps:
+        return Verdict.probable_prime()
+    return verdict
+
+
+def _search(n: int, delta) -> "tuple[SearchOutcome, Optional[Verdict]]":
+    """The small-c search: its outcome, and the composite verdict of a factor it found.
+
+    An exhausted search raises NonresidueNotFound.
+    """
+    outcome = nonresidue.find_small_nonresidue(n, delta=delta)
+    if outcome.factor is not None:
+        return outcome, Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor)
+    if outcome.c is None:
+        raise NonresidueNotFound(n, outcome.examined)
+    return outcome, None
 
 
 def generate_qft_params(n: int, rng) -> QftParams:
@@ -474,11 +499,9 @@ def qft(
     breakdown.
     """
     n = modulus_value(n)
-    screen = initial_screen(n)
-    if screen is not None:
-        return screen
-    if n <= TRIAL_DIVISION_BOUND ** 2 and not force_extension_steps:
-        return Verdict.probable_prime()
+    verdict = _screen(n, force_extension_steps)
+    if verdict is not None:
+        return verdict
     _check_qft_params(n, params)
     return _run_round(n, params, counter, phases)
 
@@ -498,23 +521,9 @@ def rqft(
     bits(c)/bits(n); it changes accounting only, never values.
     """
     n = modulus_value(n)
-    screen = initial_screen(n)
-    if screen is not None:
-        return screen
-    return _rqft_screened(n, params, counter, phases, force_extension_steps, small_c)
-
-
-def _rqft_screened(
-    n: int,
-    params: RqftParams,
-    counter: Optional[OpCounter],
-    phases: Optional[PhaseCounters],
-    force_extension_steps: bool,
-    small_c: bool,
-) -> Verdict:
-    """``rqft`` after steps 1-2 passed: the B^2 shortcut, the parameter check and steps 3-5."""
-    if n <= TRIAL_DIVISION_BOUND ** 2 and not force_extension_steps:
-        return Verdict.probable_prime()
+    verdict = _screen(n, force_extension_steps)
+    if verdict is not None:
+        return verdict
     _check_rqft_params(n, params)
     return _run_round(n, params, counter, phases, small_c)
 
@@ -528,38 +537,29 @@ def rqft_with_small_c(
     phases: Optional[PhaseCounters] = None,
     force_extension_steps: bool = False,
 ):
-    """Run the pure-form test with c from the small-nonresidue search.
+    """One round of the pure-form test with c from the small-nonresidue search.
 
-    Returns (verdict, search_outcome, params_or_None).  A factor surfaced
-    by the search or by parameter sampling short-circuits to a composite
-    verdict.  If the search exhausts its candidate cap,
+    Returns (verdict, search_outcome, params).  The screen and the B^2
+    shortcut run first; when either decides, the search and the draw do not
+    run and the result is (verdict, None, None).  A factor surfaced by the
+    search or by parameter sampling short-circuits to a composite verdict
+    with params None.  If the search exhausts its candidate cap,
     NonresidueNotFound propagates (squares and prime powers can make the
-    search fail; that failure is reported, never swallowed).  Steps 1-2 run
-    once, before the search; the test proper then skips them.
+    search fail; that failure is reported, never swallowed).  The drawn
+    parameters are not checked again: the sampler has just checked them.
     """
     n = modulus_value(n)
-    screen = initial_screen(n)
-    if screen is not None:
-        return screen, None, None
-    outcome = nonresidue.find_small_nonresidue(n, delta=delta)
-    if outcome.factor is not None:
-        return (
-            Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor),
-            outcome,
-            None,
-        )
-    if outcome.c is None:
-        raise NonresidueNotFound(n, outcome.examined)
+    verdict = _screen(n, force_extension_steps)
+    if verdict is not None:
+        return verdict, None, None
+    outcome, verdict = _search(n, delta)
+    if verdict is not None:
+        return verdict, outcome, None
     try:
         params = generate_rqft_params(n, outcome.c, rng)
     except FactorFound as found:
-        return (
-            Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor),
-            outcome,
-            None,
-        )
-    verdict = _rqft_screened(n, params, counter, phases, force_extension_steps, small_c=True)
-    return verdict, outcome, params
+        return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor), outcome, None
+    return _run_round(n, params, counter, phases, small_c=True), outcome, params
 
 
 def run_rounds(
@@ -589,18 +589,14 @@ def run_rounds(
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     n = modulus_value(n)
-    verdict = initial_screen(n)
+    verdict = _screen(n)
     if verdict is not None:
         return verdict, 0
-    if n <= TRIAL_DIVISION_BOUND ** 2:
-        return Verdict.probable_prime(), 0
     small_c = None
     if method == "rqft-smallc":
-        outcome = nonresidue.find_small_nonresidue(n, delta=delta)
-        if outcome.factor is not None:
-            return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor), 1
-        if outcome.c is None:
-            raise NonresidueNotFound(n, outcome.examined)
+        outcome, verdict = _search(n, delta)
+        if verdict is not None:
+            return verdict, 1
         small_c = outcome.c
     for k in range(1, rounds + 1):
         try:

@@ -187,10 +187,6 @@ class ExtensionRing:
         return cls(n, None, c, c.bit_length() if small else None)
 
     @property
-    def is_pure(self) -> bool:
-        return self.b is None
-
-    @property
     def bits(self) -> int:
         return self.n.bit_length()
 

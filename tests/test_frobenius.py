@@ -5,7 +5,9 @@ import math
 import random
 
 import pytest
-from sympy import factorint, isprime, nextprime
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint, isprime, nextprime, prevprime
 
 from frobprime import frobenius, nonresidue
 from frobprime.arith import TRIAL_DIVISION_BOUND, jacobi, primes_up_to, two_adic_split
@@ -307,6 +309,18 @@ def test_small_c_wrapper_screens_once_and_runs_rqft(monkeypatch):
         assert rqft(n, params, phases=ref_phases, force_extension_steps=force, small_c=True) == verdict
         assert _buckets(phases) == _buckets(ref_phases)
 
+    # below B^2 the shortcut decides a prime unless forced: no search, no draw
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    for n in (1000003, prevprime(TRIAL_DIVISION_BOUND**2)):
+        rng = random.Random(n)
+        state = rng.getstate()
+        monkeypatch.setattr(nonresidue, "find_small_nonresidue", no_search)
+        assert rqft_with_small_c(n, rng) == (Verdict.probable_prime(), None, None)
+        monkeypatch.undo()
+        assert rng.getstate() == state
+
 
 def test_small_c_wrapper_never_computes_the_exact_cap_at_2048_bits(monkeypatch):
     expected = rqft_with_small_c(PRIME_2048, random.Random(5))
@@ -373,6 +387,49 @@ def test_run_rounds_rejects_bad_arguments():
         run_rounds(2500000033, "qft", random.Random(1), 0, None)
     with pytest.raises(ValueError):
         run_rounds(2500000033, "rqft-smallc", random.Random(1), 1, None, delta="0.2")
+
+
+@pytest.mark.parametrize("n", [-7, 0, 1, 2, 4, 2**64])
+def test_edge_inputs_fail_alike_at_every_entry_point(n):
+    calls = {
+        "qft": lambda rng: qft(n, QftParams(1, 1)),
+        "rqft": lambda rng: rqft(n, RqftParams(1, 1, 2)),
+        "rqft_with_small_c": lambda rng: rqft_with_small_c(n, rng),
+    }
+    for method in ("qft", "rqft", "rqft-smallc"):
+        calls[f"run_rounds/{method}"] = lambda rng, method=method: run_rounds(n, method, rng, 2, OpCounter())
+    for name, call in calls.items():
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError) as info:
+            call(rng)
+        assert str(info.value) == f"modulus must be odd and > 1, got {n}", name
+        assert rng.getstate() == state, name
+
+
+@st.composite
+def _odd_64_to_512_bits(draw):
+    """An odd n of 64-512 bits: any odd number, a prime, or a product of two primes above B."""
+    kind = draw(st.sampled_from(("odd", "prime", "two primes above B")))
+    if kind == "two primes above B":
+        p = nextprime(draw(st.integers(TRIAL_DIVISION_BOUND, 2**256)))
+        q = nextprime(draw(st.integers(max(TRIAL_DIVISION_BOUND, 2**63 // p), 2**511 // p)))
+        return p * q
+    bits = draw(st.integers(64, 512))
+    n = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) | 1
+    return nextprime(n) if kind == "prime" else n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=_odd_64_to_512_bits(), seed=st.integers(0, 2**32))
+def test_run_rounds_agrees_with_an_independent_primality_oracle(n, seed):
+    expected = isprime(n)
+    for method in ("qft", "rqft", "rqft-smallc"):
+        verdict, rounds_run = run_rounds(n, method, random.Random(seed), 2, OpCounter())
+        assert verdict.is_probable_prime == expected, (n, method)
+        assert 0 <= rounds_run <= 2
+        if verdict.factor is not None:
+            assert 1 < verdict.factor < n and n % verdict.factor == 0, (n, method)
 
 
 def test_each_n_is_screened_and_searched_once_and_symbols_come_from_the_samplers(monkeypatch, capsys):
