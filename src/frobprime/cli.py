@@ -6,13 +6,16 @@ the multiplication-to-squaring ratio), ``cost-table`` (per-iteration cost
 model).  Exit status: 0 probable prime / success, 1 composite or factor
 found, 2 usage error, 3 search or sampling exhausted.
 
-``test`` decides each n with the extension methods through
-``frobenius.run_rounds``: the screen, the B^2 shortcut and the small-c
-search run once per n, and each of ``--rounds`` rounds only draws
-parameters and runs steps 3-5.  The baselines (fermat, strong, lucas) draw
-and test once per round.  With ``--stdin``, a bad line or an exhausted
-search or sampler is reported as ``error: line K: ...`` and the rest of
-the batch is still tested; the exit status is the worst one seen.
+``test`` decides each n of every method with one ``frobenius.run_rounds``
+call and prints its record: for the extension methods the screen, the B^2
+shortcut and the small-c search run once per n, and each of ``--rounds``
+rounds only draws parameters and runs steps 3-5; the baselines (fermat,
+strong, lucas) draw and test once per round.  n = 2 is decided here, as
+probable prime with no rounds.  A bad ``--delta`` for rqft-smallc is
+rejected before the first n.  With ``--stdin``, a bad line, a ``--base``
+that is a multiple of that n, or an exhausted search or sampler is
+reported as ``error: line K: ...`` and the rest of the batch is still
+tested; the exit status is the worst one seen.
 
 Every randomized subcommand accepts ``--seed`` and echoes the seed it used,
 so any run can be reproduced byte for byte.
@@ -28,13 +31,12 @@ from typing import Optional
 
 from .arith import as_fraction
 from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
-# initial_screen, qft, rqft, rqft_with_small_c and the three samplers are
-# not called here; benchmarks/tracing.py wraps them under these names.
+# initial_screen, qft, rqft, rqft_with_small_c, strong_test, lucas_test and
+# the three samplers are not called here; benchmarks/tracing.py wraps them
+# under these names.
 from .frobenius import (  # noqa: F401
-    RETRY_CAP,
     ParamSearchExhausted,
     Verdict,
-    fermat_test,
     generate_qft_params,
     generate_rqft_params,
     initial_screen,
@@ -45,6 +47,7 @@ from .frobenius import (  # noqa: F401
     run_rounds,
     sample_nonresidue,
     strong_test,
+    _METHODS,
 )
 from .nonresidue import (
     NonresidueNotFound,
@@ -52,6 +55,7 @@ from .nonresidue import (
     charsum_experiment,
     density_experiment,
     find_small_nonresidue,
+    _search_delta,
 )
 from .quadext import OpCounter
 
@@ -59,9 +63,6 @@ EXIT_PROBABLE_PRIME = 0
 EXIT_COMPOSITE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
-
-_EXTENSION_METHODS = ("qft", "rqft", "rqft-smallc")
-_METHODS = _EXTENSION_METHODS + ("fermat", "strong", "lucas")
 
 
 def _emit(report: dict, output: str) -> None:
@@ -79,49 +80,16 @@ def _emit(report: dict, output: str) -> None:
         print(" ".join(parts))
 
 
-def _pick_base(n: int, rng: random.Random, fixed: Optional[int]) -> int:
-    if fixed is not None:
-        return fixed
-    if n <= 4:
-        return 2
-    return rng.randrange(2, n - 1)
-
-
-def _sample_lucas_params(n: int, rng: random.Random) -> "tuple[int, int]":
-    for _ in range(RETRY_CAP):
-        P = rng.randrange(1, n)
-        Q = rng.randrange(1, n)
-        if (P * P - 4 * Q) % n == 0:
-            continue
-        return P, Q
-    raise ParamSearchExhausted(f"no usable Lucas parameters for n={n}")
-
-
-def _one_round(n: int, method: str, args, rng: random.Random, counter: OpCounter) -> Verdict:
-    """One round of a baseline method: draw its base or parameters, then test."""
-    if method == "fermat":
-        return fermat_test(n, _pick_base(n, rng, args.base), counter)
-    if method == "strong":
-        return strong_test(n, _pick_base(n, rng, args.base), counter)
-    P, Q = _sample_lucas_params(n, rng)
-    return lucas_test(n, P, Q, counter)
-
-
 def _test_one(n: int, args, rng: random.Random, seed: Optional[int]) -> "tuple[dict, int]":
-    method = args.method
     counter = OpCounter()
     if n == 2:
         verdict, rounds_run = Verdict.probable_prime(), 0
-    elif method in _EXTENSION_METHODS:
-        verdict, rounds_run = run_rounds(n, method, rng, args.rounds, counter, delta=args.delta)
     else:
-        for rounds_run in range(1, args.rounds + 1):
-            verdict = _one_round(n, method, args, rng, counter)
-            if not verdict.is_probable_prime:
-                break
+        verdict, rounds_run = run_rounds(n, args.method, rng, args.rounds, counter,
+                                         delta=args.delta, base=args.base)
     report = {
         "n": n,
-        "method": method,
+        "method": args.method,
         "verdict": "probable-prime" if verdict.is_probable_prime else "composite",
         "reason": verdict.reason.value if verdict.reason is not None else None,
         "factor": verdict.factor,
@@ -143,6 +111,8 @@ def cmd_test(args) -> int:
     if args.rounds < 1:
         print("error: --rounds must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.method == "rqft-smallc":
+        _search_delta(args.delta)  # a ValueError here is a usage error before any output
     if args.stdin:
         entries = [
             (f"line {k}: ", token)
@@ -155,16 +125,15 @@ def cmd_test(args) -> int:
     rng = random.Random(seed)
     worst = EXIT_PROBABLE_PRIME
     for where, token in entries:
-        # a bad entry is reported and skipped; it draws nothing from rng.  An
-        # exhausted search or sampler is reported too, after its draws.
+        # a bad entry, or a --base that is a multiple of it, is reported and
+        # skipped; it draws nothing from rng.  An exhausted search or sampler
+        # is reported too, after its draws.
         try:
-            n = _valid_n(token)
+            report, code = _test_one(_valid_n(token), args, rng, seed)
         except ValueError as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_USAGE)
             continue
-        try:
-            report, code = _test_one(n, args, rng, seed)
         except (NonresidueNotFound, ParamSearchExhausted) as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_EXHAUSTED)

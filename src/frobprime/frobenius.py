@@ -20,12 +20,13 @@ pass ``force_extension_steps=True`` to exercise them anyway.
 
 Every entry point decides n along one path.  The work that depends on n
 alone runs first and once: steps 1-2 and the B^2 shortcut (``_screen``),
-then, for the small-c variant, the nonresidue search (``_search``).  Only
-the parameter draw and steps 3-5 (``_run_round``) repeat per round.
+then, for the small-c variant, the nonresidue search.  Only the parameter
+draw and steps 3-5 (``_run_round``) repeat per round.
 ``qft`` and ``rqft`` run one round on parameters from the caller, which
-they check first; ``rqft_with_small_c`` runs one round of the small-c
-pipeline and ``run_rounds`` several rounds of any extension method, both
-on parameters their own samplers have just checked.
+they check first.  ``run_rounds`` decides n by rounds of any of the six
+methods of ``frobprime test`` (the Fermat, strong and Lucas baselines have
+no screen), and ``rqft_with_small_c`` is one round of its small-c
+pipeline; both trust parameters their own samplers have just checked.
 
 Parameter generation, the Fermat/strong/Lucas baseline tests, and the
 change-of-form parameter map live here too.  Randomized helpers take an
@@ -50,7 +51,7 @@ from .arith import (
     two_adic_split,
 )
 from . import nonresidue
-from .nonresidue import NonresidueNotFound, SearchOutcome
+from .nonresidue import NonresidueNotFound
 from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
 
 __all__ = [
@@ -81,6 +82,9 @@ __all__ = [
 
 #: Retry cap for all rejection-sampling parameter searches.
 RETRY_CAP = 64
+
+#: The methods run_rounds decides: the three extension tests, then the baselines.
+_METHODS = ("qft", "rqft", "rqft-smallc", "fermat", "strong", "lucas")
 
 
 class CompositeReason(str, Enum):
@@ -191,6 +195,12 @@ class PhaseCounters:
     def total(self) -> OpCounter:
         return self.squaring_steps + self.multiply_steps + self.tail
 
+    def __iadd__(self, other: "PhaseCounters") -> "PhaseCounters":
+        self.squaring_steps += other.squaring_steps
+        self.multiply_steps += other.multiply_steps
+        self.tail += other.tail
+        return self
+
 
 def initial_screen(n: int) -> Optional[Verdict]:
     """Steps 1-2: trial division to min(B, isqrt(n)), then the square check.
@@ -215,19 +225,6 @@ def _screen(n: int, force_extension_steps: bool = False) -> Optional[Verdict]:
     if verdict is None and n <= TRIAL_DIVISION_BOUND ** 2 and not force_extension_steps:
         return Verdict.probable_prime()
     return verdict
-
-
-def _search(n: int, delta) -> "tuple[SearchOutcome, Optional[Verdict]]":
-    """The small-c search: its outcome, and the composite verdict of a factor it found.
-
-    An exhausted search raises NonresidueNotFound.
-    """
-    outcome = nonresidue.find_small_nonresidue(n, delta=delta)
-    if outcome.factor is not None:
-        return outcome, Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor)
-    if outcome.c is None:
-        raise NonresidueNotFound(n, outcome.examined)
-    return outcome, None
 
 
 def generate_qft_params(n: int, rng) -> QftParams:
@@ -313,6 +310,25 @@ def sample_nonresidue(n: int, rng) -> int:
     raise ParamSearchExhausted(f"no nonresidue found for n={n} in {RETRY_CAP} draws")
 
 
+def _pick_base(n: int, rng, fixed: Optional[int]) -> int:
+    """The Fermat/strong base: ``fixed`` when given, else uniform in [2, n-2] (2 for n <= 4)."""
+    if fixed is not None:
+        return fixed
+    if n <= 4:
+        return 2
+    return rng.randrange(2, n - 1)
+
+
+def _sample_lucas_params(n: int, rng) -> "tuple[int, int]":
+    """Sample P and Q from [1, n-1] until P^2 - 4Q is nonzero mod n."""
+    for _ in range(RETRY_CAP):
+        P = rng.randrange(1, n)
+        Q = rng.randrange(1, n)
+        if (P * P - 4 * Q) % n != 0:
+            return P, Q
+    raise ParamSearchExhausted(f"no usable Lucas parameters for n={n}")
+
+
 def _check_qft_params(n: int, params: QftParams) -> None:
     """Raise ValueError unless jacobi(b^2 + 4c, n) = -1 and jacobi(-c, n) = +1."""
     b, c = params.b % n, params.c % n
@@ -343,7 +359,9 @@ def _run_round(
 
     Builds the ring, the test element and the step-4 target from the
     parameters: z = x and -c for the general form, z = a*x + b and
-    b^2 - c*a^2 for the pure form.
+    b^2 - c*a^2 for the pure form.  The round books into fresh buckets,
+    which are then added to ``phases`` and ``counter``, so callers may
+    share both across runs.
     """
     if isinstance(params, QftParams):
         ring = ExtensionRing.general(n, params.b, params.c)
@@ -352,8 +370,10 @@ def _run_round(
         ring = ExtensionRing.pure(n, params.c, small=small_c)
         a, b = params.a % n, params.b % n
         z, target = QuadExtElement(b, a), (b * b - ring.c * a * a) % n
-    ph = phases if phases is not None else PhaseCounters.fresh()
+    ph = PhaseCounters.fresh()
     verdict = _extension_steps(z, ring, target, ph)
+    if phases is not None:
+        phases += ph
     if counter is not None:
         counter += ph.total()
     return verdict
@@ -366,16 +386,9 @@ def _extension_steps(
     ph: PhaseCounters,
 ) -> Verdict:
     """Steps 3-5 on a prepared ring/element; assumes steps 1-2 already passed."""
-    n = ring.n
-    r2, s2 = two_adic_split(n + 1)
-    # z^((n+1)/2) = (z^s2)^(2^(r2-1)): one odd-exponent ladder, then pure
-    # squarings; identical squaring-step count to a direct (n+1)/2 ladder.
     # Generic squares: each squaring step books the contractual
     # per-iteration cost, even where an intermediate power is scalar.
-    y = ext_pow(z, s2, ring, ph.squaring_steps, ph.multiply_steps, generic_squares=True)
-    w = y
-    for _ in range(r2 - 1):
-        w = ext_square(w, ring, ph.squaring_steps, generic=True)
+    r2, y, w = _half_power(z, ring, ph.squaring_steps, ph.multiply_steps, generic=True)
     if w.v != 0:
         return Verdict.composite(CompositeReason.STEP3)
     q = ext_square(w, ring, ph.tail)  # z^(n+1), one scalar squaring
@@ -384,6 +397,21 @@ def _extension_steps(
     if not _step5_from_intermediates(y, w, r2, ring, ph.tail):
         return Verdict.composite(CompositeReason.STEP5)
     return Verdict.probable_prime()
+
+
+def _half_power(z: QuadExtElement, ring: ExtensionRing, counter, mult_counter=None, generic=False):
+    """(r2, y, w) with n + 1 = 2^r2 * s2, y = z^s2 and w = z^((n+1)/2) = y^(2^(r2-1)).
+
+    One odd-exponent ladder, then r2 - 1 squarings: the squaring-step count
+    of a direct (n+1)/2 ladder.  ``generic`` reaches ext_pow and ext_square
+    as their keyword flags.
+    """
+    r2, s2 = two_adic_split(ring.n + 1)
+    y = ext_pow(z, s2, ring, counter, mult_counter, generic_squares=generic)
+    w = y
+    for _ in range(r2 - 1):
+        w = ext_square(w, ring, counter, generic=generic)
+    return r2, y, w
 
 
 def _step5_from_intermediates(
@@ -415,31 +443,31 @@ def _step5_from_intermediates(
     ladder is cheaper.  Both powers book what the plain binary ladder
     books: ext_pow derives its scalar steps in closed form from a.
     """
-    n = ring.n
     one = QuadExtElement(1, 0)
-    minus_one = QuadExtElement(n - 1, 0)
-    r1, s1 = two_adic_split(n - 1)
+    r1, s1 = two_adic_split(ring.n - 1)
     t = ext_pow(w, s1, ring, counter)
     if t != one:
-        x_ = t
-        for _ in range(r1):
-            if x_ == minus_one:
-                return True
-            if x_ == one:
-                return False  # reached 1 without passing -1
-            x_ = ext_square(x_, ring, counter)
-        return False
+        return _minus_one_first(t, r1, ring, counter)
     if r2 == 1:
         return True  # t = z^s = 1
     zeta = ext_pow(y, s1, ring, counter)
-    if zeta == one:
-        return True
-    for _ in range(r2 - 1):
-        if zeta == minus_one:
+    return zeta == one or _minus_one_first(zeta, r2 - 1, ring, counter)
+
+
+def _minus_one_first(x: QuadExtElement, k: int, ring: ExtensionRing, counter: Optional[OpCounter]) -> bool:
+    """Whether -1 comes before 1 among x, x^2, ..., x^(2^(k-1)).
+
+    Squares once after each element checked, the last one included, as the
+    chain always has: bookings depend on it.
+    """
+    one = QuadExtElement(1, 0)
+    minus_one = QuadExtElement(ring.n - 1, 0)
+    for _ in range(k):
+        if x == minus_one:
             return True
-        if zeta == one:
-            return False
-        zeta = ext_square(zeta, ring, counter)
+        if x == one:
+            return False  # reached 1 without passing -1
+        x = ext_square(x, ring, counter)
     return False
 
 
@@ -453,12 +481,7 @@ def step5_chain(z: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCoun
     y^(2^a) for some a <= v2(n+1) (see ext_pow).  Values and bookings are
     those of the plain ladders either way.
     """
-    n = ring.n
-    r2, s2 = two_adic_split(n + 1)
-    y = ext_pow(z, s2, ring, counter)
-    w = y
-    for _ in range(r2 - 1):
-        w = ext_square(w, ring, counter)
+    r2, y, w = _half_power(z, ring, counter)
     return _step5_from_intermediates(y, w, r2, ring, counter)
 
 
@@ -537,7 +560,7 @@ def rqft_with_small_c(
     phases: Optional[PhaseCounters] = None,
     force_extension_steps: bool = False,
 ):
-    """One round of the pure-form test with c from the small-nonresidue search.
+    """One round of run_rounds' "rqft-smallc" pipeline.
 
     Returns (verdict, search_outcome, params).  The screen and the B^2
     shortcut run first; when either decides, the search and the draw do not
@@ -548,18 +571,9 @@ def rqft_with_small_c(
     search fail; that failure is reported, never swallowed).  The drawn
     parameters are not checked again: the sampler has just checked them.
     """
-    n = modulus_value(n)
-    verdict = _screen(n, force_extension_steps)
-    if verdict is not None:
-        return verdict, None, None
-    outcome, verdict = _search(n, delta)
-    if verdict is not None:
-        return verdict, outcome, None
-    try:
-        params = generate_rqft_params(n, outcome.c, rng)
-    except FactorFound as found:
-        return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor), outcome, None
-    return _run_round(n, params, counter, phases, small_c=True), outcome, params
+    verdict, _, outcome, params = _decide(n, "rqft-smallc", rng, 1, counter, delta, None,
+                                          phases, force_extension_steps)
+    return verdict, outcome, params
 
 
 def run_rounds(
@@ -570,47 +584,76 @@ def run_rounds(
     counter: Optional[OpCounter],
     *,
     delta=None,
+    base: Optional[int] = None,
 ) -> "tuple[Verdict, int]":
-    """Decide n by up to ``rounds`` rounds of "qft", "rqft" or "rqft-smallc".
+    """Decide n by up to ``rounds`` rounds of "qft", "rqft", "rqft-smallc", "fermat", "strong" or "lucas".
 
-    Returns (verdict, rounds run).  The work that depends on n alone runs
-    once: steps 1-2 and the B^2 shortcut (either decides with 0 rounds),
-    then for "rqft-smallc" the small-nonresidue search with exponent
-    ``delta`` (a factor it finds decides after 1 round; an exhausted
-    search raises NonresidueNotFound).  Each round draws parameters as the
-    method's samplers do, in the same order from ``rng``, and runs steps
-    3-5; a factor found by a sampler or a composite step ends the run.
-    The samplers return only parameters whose symbols they have checked,
-    so the rounds do not check them again.  ``counter`` receives the ops
-    of every round.
+    Returns (verdict, rounds run).  The method, ``rounds``, n and, for
+    "rqft-smallc", ``delta`` are checked before anything is drawn.  For the
+    extension methods the work that depends on n alone runs once: steps
+    1-2 and the B^2 shortcut (either decides with 0 rounds), then for
+    "rqft-smallc" the small-nonresidue search with exponent ``delta`` (a
+    factor it finds decides after 1 round; an exhausted search raises
+    NonresidueNotFound).  The baselines have no screen.  Each round draws
+    parameters as the method's samplers do, in the same order from ``rng``
+    (fermat and strong take ``base`` instead when given), and runs the
+    test; a factor found by a sampler or a composite verdict ends the run.
+    The rounds trust the symbols the samplers have just checked.
+    ``counter`` receives the ops of every round.
     """
-    if method not in ("qft", "rqft", "rqft-smallc"):
-        raise ValueError(f"unknown extension method {method!r}")
+    return _decide(n, method, rng, rounds, counter, delta, base)[:2]
+
+
+def _decide(n, method, rng, rounds, counter, delta, base, phases=None, force_extension_steps=False):
+    """The pipeline of run_rounds and rqft_with_small_c.
+
+    Returns run_rounds' (verdict, rounds run), then the search outcome (None
+    unless the search ran) and the last round's parameters (None unless that
+    round drew them all).
+    """
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     n = modulus_value(n)
-    verdict = _screen(n)
-    if verdict is not None:
-        return verdict, 0
-    small_c = None
-    if method == "rqft-smallc":
-        outcome, verdict = _search(n, delta)
+    outcome = small_c = None
+    if method in ("qft", "rqft", "rqft-smallc"):
+        if method == "rqft-smallc" and delta is not None:  # None is the default, valid exponent
+            nonresidue._search_delta(delta)
+        verdict = _screen(n, force_extension_steps)
         if verdict is not None:
-            return verdict, 1
-        small_c = outcome.c
+            return verdict, 0, None, None
+        if method == "rqft-smallc":
+            outcome = nonresidue.find_small_nonresidue(n, delta=delta)
+            if outcome.factor is not None:
+                return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor), 1, outcome, None
+            if outcome.c is None:
+                raise NonresidueNotFound(n, outcome.examined)
+            small_c = outcome.c
     for k in range(1, rounds + 1):
-        try:
-            if method == "qft":
-                params = generate_qft_params(n, rng)
-            else:
-                c = small_c if small_c is not None else sample_nonresidue(n, rng)
-                params = generate_rqft_params(n, c, rng)
-        except FactorFound as found:
-            return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor), k
-        verdict = _run_round(n, params, counter, small_c=small_c is not None)
+        verdict, params = _round(n, method, rng, counter, phases, small_c, base)
         if not verdict.is_probable_prime:
-            return verdict, k
-    return verdict, rounds
+            return verdict, k, outcome, params
+    return verdict, rounds, outcome, params
+
+
+def _round(n, method, rng, counter, phases, small_c, base):
+    """One round of ``method``: (verdict, the parameters drawn, or None after a FactorFound)."""
+    if method == "fermat" or method == "strong":
+        base = _pick_base(n, rng, base)
+        return (fermat_test if method == "fermat" else strong_test)(n, base, counter), base
+    if method == "lucas":
+        P, Q = _sample_lucas_params(n, rng)
+        return lucas_test(n, P, Q, counter), (P, Q)
+    try:
+        if method == "qft":
+            params = generate_qft_params(n, rng)
+        else:
+            c = small_c if small_c is not None else sample_nonresidue(n, rng)
+            params = generate_rqft_params(n, c, rng)
+    except FactorFound as found:
+        return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor), None
+    return _run_round(n, params, counter, phases, small_c is not None), params
 
 
 def pure_form_of(n: int, params: QftParams) -> RqftParams:

@@ -39,7 +39,7 @@ reductions differ, which never changes values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .arith import modulus_value
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 
+@dataclass(slots=True)
 class OpCounter:
     """Mutable tally of modular products, by kind.
 
@@ -74,23 +75,15 @@ class OpCounter:
         products by the general ring's fixed parameters b and c, kept in
         their own bucket (excluded from MSQ totals, reported alongside
         them) so either accounting interpretation can be read off.
+
+    Equality compares the four counts; ``small_bits_ratio`` is not one.
     """
 
-    __slots__ = ("squarings", "full_mults", "small_mults", "param_mults", "small_bits_ratio")
-
-    def __init__(
-        self,
-        squarings: int = 0,
-        full_mults: int = 0,
-        small_mults: int = 0,
-        param_mults: int = 0,
-        small_bits_ratio: float = 0.0,
-    ) -> None:
-        self.squarings = squarings
-        self.full_mults = full_mults
-        self.small_mults = small_mults
-        self.param_mults = param_mults
-        self.small_bits_ratio = small_bits_ratio
+    squarings: int = 0
+    full_mults: int = 0
+    small_mults: int = 0
+    param_mults: int = 0
+    small_bits_ratio: float = field(default=0.0, compare=False)
 
     def record_small(self, ratio: float, count: int = 1) -> None:
         """Book ``count`` small multiplications with the given operand-size ratio."""
@@ -123,16 +116,6 @@ class OpCounter:
         out += other
         return out
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OpCounter):
-            return NotImplemented
-        return (
-            self.squarings == other.squarings
-            and self.full_mults == other.full_mults
-            and self.small_mults == other.small_mults
-            and self.param_mults == other.param_mults
-        )
-
     def as_dict(self) -> dict:
         return {
             "squarings": self.squarings,
@@ -141,13 +124,6 @@ class OpCounter:
             "param_mults": self.param_mults,
             "small_bits_ratio": self.small_bits_ratio,
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"OpCounter(squarings={self.squarings}, full_mults={self.full_mults}, "
-            f"small_mults={self.small_mults}, param_mults={self.param_mults}, "
-            f"small_bits_ratio={self.small_bits_ratio})"
-        )
 
 
 @dataclass(frozen=True)

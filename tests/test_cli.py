@@ -132,6 +132,35 @@ def test_stdin_reports_each_bad_line_and_tests_the_rest(capsys, monkeypatch):
         assert [json.loads(line)["n"] for line in out.splitlines()] == [int(n) for n in good]
 
 
+def test_a_bad_delta_is_rejected_before_the_first_line(capsys, monkeypatch):
+    error = "error: delta must lie in (1/(3*sqrt(e)), 1) = (0.2021768866, 1); got 1/10\n"
+    # 11 is decided by the screen and 2**100 + 277 only after the search
+    for n in ("11", str(2**100 + 277)):
+        code, out, err = run(capsys, "test", n, "--method", "rqft-smallc", "--delta", "0.1")
+        assert (code, out, err) == (2, "", error)
+    monkeypatch.setattr("sys.stdin", io.StringIO("11\n13\n2500000033\n"))
+    code, out, err = run(capsys, "test", "--stdin", "--method", "rqft-smallc", "--delta", "0.1")
+    assert (code, out, err) == (2, "", error)
+    # the other methods do not search and ignore --delta, as before
+    code, out, _ = run(capsys, "test", "11", "--method", "qft", "--delta", "0.1")
+    assert code == 0 and "verdict=probable-prime" in out
+
+
+def test_a_base_that_is_a_multiple_of_one_line_is_reported_for_that_line(capsys, monkeypatch):
+    for method in ("fermat", "strong"):
+        argv = ("test", "--stdin", "--method", method, "--base", "7", "--seed", "1")
+        monkeypatch.setattr("sys.stdin", io.StringIO("7 11\n13\n"))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (2, "error: line 1: base is a multiple of n\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("11\n13\n"))
+        assert run(capsys, *argv) == (0, out, "")
+        assert [line.split()[0] for line in out.splitlines()] == ["n=11", "n=13"]
+        # a single n still prints the bare error and exits 2
+        assert run(capsys, "test", "7", "--method", method, "--base", "14") == (
+            2, "", "error: base is a multiple of n\n"
+        )
+
+
 @pytest.mark.parametrize("run_key", sorted(GOLDEN["runs"]))
 def test_stdin_batch_matches_the_golden_output(capsys, monkeypatch, run_key):
     # expected output recorded before each n was decided in one pass; the

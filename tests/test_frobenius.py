@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -381,12 +382,46 @@ def test_run_rounds_reports_a_search_factor_after_one_round(monkeypatch):
 
 
 def test_run_rounds_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        run_rounds(2500000033, "strong", random.Random(1), 1, None)
+    with pytest.raises(ValueError, match="unknown method"):
+        run_rounds(2500000033, "miller-rabin", random.Random(1), 1, None)
     with pytest.raises(ValueError):
         run_rounds(2500000033, "qft", random.Random(1), 0, None)
-    with pytest.raises(ValueError):
-        run_rounds(2500000033, "rqft-smallc", random.Random(1), 1, None, delta="0.2")
+    # a bad delta is rejected before the screen: 11 and 15 are decided there,
+    # 2500000033 only after the search; nothing is drawn
+    for n in (11, 15, 2500000033):
+        for call in (
+            lambda rng: run_rounds(n, "rqft-smallc", rng, 1, None, delta="0.1"),
+            lambda rng: rqft_with_small_c(n, rng, delta="0.1"),
+        ):
+            rng = random.Random(1)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="delta must lie in"):
+                call(rng)
+            assert rng.getstate() == state
+    # the other methods do not search, so they ignore delta as before
+    assert run_rounds(11, "qft", random.Random(1), 1, None, delta="0.1") == (Verdict.probable_prime(), 0)
+
+
+def test_rounds_book_once_when_callers_share_phases_and_counter():
+    n = 2**127 - 1
+    rng = random.Random(7)
+    qft_params = generate_qft_params(n, rng)
+    rqft_params = generate_rqft_params(n, sample_nonresidue(n, rng), rng)
+    runs = {
+        "qft": lambda counter, phases: qft(n, qft_params, counter, phases=phases),
+        "rqft": lambda counter, phases: rqft(n, rqft_params, counter, phases=phases),
+        "rqft_with_small_c": lambda counter, phases: rqft_with_small_c(
+            n, random.Random(3), counter=counter, phases=phases
+        ),
+    }
+    for name, run in runs.items():
+        one = OpCounter()
+        run(one, None)
+        counter, phases = OpCounter(), PhaseCounters.fresh()
+        run(counter, phases)
+        run(counter, phases)
+        assert counter.squarings == 2 * one.squarings > 0, name  # qft: 756, not 1134
+        assert counter == phases.total() == one + one, name
 
 
 @pytest.mark.parametrize("n", [-7, 0, 1, 2, 4, 2**64])
@@ -396,7 +431,7 @@ def test_edge_inputs_fail_alike_at_every_entry_point(n):
         "rqft": lambda rng: rqft(n, RqftParams(1, 1, 2)),
         "rqft_with_small_c": lambda rng: rqft_with_small_c(n, rng),
     }
-    for method in ("qft", "rqft", "rqft-smallc"):
+    for method in ("qft", "rqft", "rqft-smallc", "fermat", "strong", "lucas"):
         calls[f"run_rounds/{method}"] = lambda rng, method=method: run_rounds(n, method, rng, 2, OpCounter())
     for name, call in calls.items():
         rng = random.Random(1)
@@ -879,6 +914,52 @@ def test_lucas_fixtures():
         lucas_test(11, 2, 1)  # D = 0
     with pytest.raises(ValueError):
         lucas_test(7, 1, 7)  # n divides 2QD
+
+
+def _baseline_rounds_by_calls(n, method, rng, rounds, counter, base=None):
+    """The reference: draw each round's base or (P, Q) and make one baseline test call."""
+    for k in range(1, rounds + 1):
+        if method == "lucas":
+            while True:
+                P, Q = rng.randrange(1, n), rng.randrange(1, n)
+                if (P * P - 4 * Q) % n:
+                    break
+            verdict = lucas_test(n, P, Q, counter)
+        else:
+            b = base if base is not None else rng.randrange(2, n - 1) if n > 4 else 2
+            verdict = (fermat_test if method == "fermat" else strong_test)(n, b, counter)
+        if not verdict.is_probable_prime:
+            return verdict, k
+    return verdict, rounds
+
+
+def test_run_rounds_matches_a_baseline_call_per_round():
+    rng = random.Random(20261018)
+    numbers = [3, 5, 7, 9, 15, 341, 561, 1729, 2047, 3215031751, 1000003 * 1000033]
+    numbers += [nextprime(rng.getrandbits(bits)) for bits in (20, 64, 256)] + _chernick_carmichaels(2)
+    numbers += [rng.getrandbits(64) | 1 for _ in range(30)]
+    # seed 193 draws Lucas parameters for 45 with 45 | 2*Q*D in its first round
+    for n, seed in [(n, n) for n in numbers] + [(45, 193)]:
+        for method in ("fermat", "strong", "lucas"):
+            for rounds in (1, 4):
+                counter, ref_counter = OpCounter(), OpCounter()
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                try:
+                    expected = _baseline_rounds_by_calls(n, method, ref_rng, rounds, ref_counter)
+                except ValueError as exc:  # lucas parameters that n divides 2*Q*D for
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        run_rounds(n, method, rng, rounds, counter)
+                else:
+                    assert run_rounds(n, method, rng, rounds, counter) == expected, (n, method)
+                assert counter.as_dict() == ref_counter.as_dict()
+                assert rng.getstate() == ref_rng.getstate()
+    # a fixed base draws nothing
+    for method in ("fermat", "strong"):
+        rng = random.Random(1)
+        state = rng.getstate()
+        expected = _baseline_rounds_by_calls(341, method, rng, 3, None, base=2)
+        assert run_rounds(341, method, rng, 3, None, base=2) == expected
+        assert rng.getstate() == state
 
 
 def test_lucas_accepts_primes_with_random_parameters():
