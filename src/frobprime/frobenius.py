@@ -761,14 +761,17 @@ def lucas_test(n: int, P: int, Q: int, counter: Optional[OpCounter] = None) -> V
     """Composite iff U_(n - (D/n)) != 0 mod n, with D = P^2 - 4Q.
 
     Requires gcd(n, 2*Q*D) = 1: a shared factor strictly between 1 and n is
-    returned as a composite verdict, and degenerate parameters (n divides
-    Q*D, or D = 0) are rejected.
+    returned as a composite verdict (where n divides Q*D, that of Q or of
+    D), and degenerate parameters (n divides Q or D, or D = 0) are rejected.
     """
     n = modulus_value(n)
     D = P * P - 4 * Q
     if D == 0:
         raise ValueError("square discriminant: P^2 = 4Q degenerates the sequence")
     g = math.gcd(n, 2 * Q * D)
+    if g == n:
+        # n | Q*D (n is odd), but Q and D can each share just part of n
+        g = next((h for h in (math.gcd(n, Q), math.gcd(n, D)) if 1 < h < n), n)
     if g == n:
         raise ValueError("parameters degenerate: n divides 2*Q*D")
     if g > 1:

@@ -232,6 +232,13 @@ def test_lucas_method_runs(capsys):
     assert "rounds_run=2" in out
 
 
+def test_lucas_parameters_sharing_a_factor_with_n_report_it(capsys):
+    # seed 3 draws P = 4, Q = 10 for n = 15: 15 | 2*Q*D, and gcd(15, Q) = 5
+    code, out, err = run(capsys, "test", "15", "--method", "lucas", "--seed", "3")
+    assert (code, err) == (1, "")
+    assert "reason=shared-factor factor=5 rounds_run=1" in out
+
+
 def test_small_c_method_reports_probable_prime(capsys):
     code, out, _ = run(capsys, "test", "2500000033", "--method", "rqft-smallc", "--seed", "3")
     assert code == 0

@@ -914,6 +914,22 @@ def test_lucas_fixtures():
         lucas_test(11, 2, 1)  # D = 0
     with pytest.raises(ValueError):
         lucas_test(7, 1, 7)  # n divides 2QD
+    # 15 | Q*D with D = -24, but gcd(15, Q) = 5 is a proper factor
+    assert lucas_test(15, 4, 10) == Verdict.composite(CompositeReason.SHARED_FACTOR, 5)
+    assert lucas_test(15, 3, -21) == Verdict.composite(CompositeReason.SHARED_FACTOR, 3)
+    with pytest.raises(ValueError):
+        lucas_test(15, 1, 15)  # n divides Q
+    with pytest.raises(ValueError):
+        lucas_test(15, 8, 1)  # n divides D = 60
+
+
+def test_lucas_rounds_report_a_factor_shared_with_q_or_d():
+    # small composites often draw n | Q*D with neither Q nor D a multiple of n
+    for seed in range(200):
+        for n in (15, 21, 35, 45, 1729):
+            verdict, _ = run_rounds(n, "lucas", random.Random(seed), 4, OpCounter())
+            if verdict.factor is not None:
+                assert 1 < verdict.factor < n and n % verdict.factor == 0
 
 
 def _baseline_rounds_by_calls(n, method, rng, rounds, counter, base=None):
@@ -938,7 +954,7 @@ def test_run_rounds_matches_a_baseline_call_per_round():
     numbers = [3, 5, 7, 9, 15, 341, 561, 1729, 2047, 3215031751, 1000003 * 1000033]
     numbers += [nextprime(rng.getrandbits(bits)) for bits in (20, 64, 256)] + _chernick_carmichaels(2)
     numbers += [rng.getrandbits(64) | 1 for _ in range(30)]
-    # seed 193 draws Lucas parameters for 45 with 45 | 2*Q*D in its first round
+    # seed 193 draws Lucas parameters for 45 with 45 | 2*Q*D in its first round: gcd(45, Q) = 15
     for n, seed in [(n, n) for n in numbers] + [(45, 193)]:
         for method in ("fermat", "strong", "lucas"):
             for rounds in (1, 4):

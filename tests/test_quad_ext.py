@@ -22,7 +22,12 @@ from frobprime.quadext import (
 
 
 def _ext_pow_by_steps(e, exp, ring, counter=None, mult_counter=None, *, generic_squares=False):
-    """The reference ladder: one booked ext_square / ext_mul / mul_by_x call per step."""
+    """The reference ladder: one booked ext_square / ext_mul / mul_by_x call per step.
+
+    ``generic_squares=True`` books every step at the contract cost: squares
+    by ext_square(generic=True), and a multiply step on a scalar accumulator
+    as the full product of two non-scalars, not ext_mul's scalar shortcut.
+    """
     n = ring.n
     if exp == 0:
         return QuadExtElement(1 % n, 0)
@@ -47,6 +52,9 @@ def _ext_pow_by_steps(e, exp, ring, counter=None, mult_counter=None, *, generic_
         if bit == "1":
             if base == (0, 1):
                 acc = mul_by_x(acc, ring, mult_counter)
+            elif generic_squares and acc.v == 0:
+                ext_mul(base, base, ring, mult_counter)  # books one non-scalar product
+                acc = ext_mul(acc, base, ring)
             else:
                 acc = ext_mul(acc, base, ring, mult_counter)
     return acc
@@ -467,3 +475,93 @@ def test_ext_pow_kernel_matches_the_step_by_step_ladder(monkeypatch):
     assert scalar_squares > 1000 and scalar_mults > 100, (scalar_squares, scalar_mults)
     # powers split at every a from 1 to 7, with a general base and with x
     assert {s for s in splits if s} >= {(a, is_x) for a in range(1, 8) for is_x in (False, True)}
+
+
+def _window_exponents(rng, bits, k):
+    """Exponents of ``bits`` bits that stress a width-k window split."""
+    top = 1 << (bits - 1)
+    yield top  # 2^j: one window, then only squarings
+    yield 2 * top - 1  # 2^(j+1) - 1: every window full
+    yield top | 1  # a zero run as long as the exponent
+    yield top | top >> (k + 1) | 1  # top window of one bit, shorter than k
+    yield top | (1 << (bits // 2)) | 1 << (bits // 3)  # windows that end before bit 0
+    yield rng.getrandbits(bits) | top | 1  # random, last window ends at bit 0
+    yield (rng.getrandbits(bits) | top) & ~((1 << (bits // 3)) - 1)  # trailing zero run
+
+
+def test_window_kernel_matches_the_step_by_step_ladder():
+    rng = random.Random(20261019)
+    assert [quadext._window_width(bits) for bits in (128, 256, 1024, 2048)] == [4, 5, 6, 7]
+    for bits in (1, 2, 3, 8, 64, 127, 128, 129, 300, 1024, 4096):
+        n = rng.getrandbits(rng.choice((16, 64, 256))) | 3
+        rings = [ExtensionRing.pure(n, rng.randrange(n)), ExtensionRing.pure(n, rng.randrange(2, 60), small=True)]
+        for ring in rings:
+            base = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
+            full_c = ring.small_c_bits is None
+            exps = {1}.union(*(_window_exponents(rng, bits, k) for k in quadext._WINDOWS)) - {0}
+            for exp in sorted(exps):
+                want = _ext_pow_by_steps(base, exp, ring)
+                for k in quadext._WINDOWS:
+                    assert quadext._pure_window(*base, exp, n, ring.c, full_c, k) == want, (ring, base, exp, k)
+    # a full-size modulus at the dominant ladder's exponent, n + 1 over its power of 2
+    n = rng.getrandbits(2048) | 1 << 2047 | 1
+    ring = ExtensionRing.pure(n, rng.randrange(n))
+    base = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
+    exp = (n + 1) >> ((n + 1) & -(n + 1)).bit_length() - 1
+    assert quadext._pure_window(*base, exp, n, ring.c, True, 7) == _ext_pow_by_steps(base, exp, ring)
+
+
+_PRODUCT_COST = {  # (squarings, full_mults, small_mults, param_mults) of one non-scalar op
+    "general": {"square": (2, 1, 0, 2), "product": (0, 3, 0, 2), "by_x": (0, 0, 0, 2)},
+    "pure": {"square": (0, 3, 0, 0), "product": (0, 3, 0, 0), "by_x": (0, 1, 0, 0)},
+    "pure-small": {"square": (0, 2, 1, 0), "product": (0, 2, 1, 0), "by_x": (0, 0, 1, 0)},
+}
+
+
+def _form(ring):
+    return "general" if ring.b is not None else "pure" if ring.small_c_bits is None else "pure-small"
+
+
+def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
+    windows = []
+    pure_window = quadext._pure_window
+
+    def recorded(*args):
+        windows.append(args[2].bit_length())
+        return pure_window(*args)
+
+    monkeypatch.setattr(quadext, "_pure_window", recorded)
+    rng = random.Random(20261020)
+    cases = list(_kernel_cases())
+    # both sides of the crossover, with accumulators that pass through a scalar
+    for bits in (8, 64, 126, 127, 128, 129, 200, 600):
+        p = nextprime(rng.getrandbits(bits))
+        for form in _PRODUCT_COST:
+            ring = _field(rng, p, form)
+            base = QuadExtElement(rng.randrange(p), rng.randrange(1, p))
+            cases += [(ring, base, (p + 1) << low | rng.getrandbits(low)) for low in (0, 3)]
+            cases += [(ring, base, rng.getrandbits(bits) | 1 << (bits - 1))]
+    for ring, base, exp in cases:
+        if not exp or not base[1] % ring.n:
+            continue
+        steps, mults = exp.bit_length() - 1, bin(exp).count("1") - 1
+        cost = _PRODUCT_COST[_form(ring)]
+        by = "by_x" if base == (0, 1) else "product"
+        want_squares = [steps * k for k in cost["square"]]
+        want_mults = [mults * k for k in cost[by]]
+        value = _ext_pow_by_steps(base, exp, ring)
+        for counters in ((0, 1), (0, None), (None, 1), (None, None)):
+            got = [OpCounter(), OpCounter()]
+            g = [None if k is None else got[k] for k in counters]
+            assert ext_pow(base, exp, ring, *g, generic_squares=True) == value, (ring, base, exp)
+            want = [[0] * 4, [0] * 4]
+            squares_to, mults_to = counters[0], counters[0] if counters[1] is None else counters[1]
+            if squares_to is not None:
+                want[squares_to] = [w + s for w, s in zip(want[squares_to], want_squares)]
+            if mults_to is not None:
+                want[mults_to] = [w + m for w, m in zip(want[mults_to], want_mults)]
+            for counter, expected in zip(got, want):
+                tally = [counter.squarings, counter.full_mults, counter.small_mults, counter.param_mults]
+                assert tally == expected, (ring, base, exp, counters)
+    # the pure form's non-x bases of 128 bits and more ran the window kernel
+    assert min(windows) == 128 and max(windows) > 400
