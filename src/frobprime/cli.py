@@ -11,8 +11,9 @@ call and prints its record: for the extension methods the screen, the B^2
 shortcut and the small-c search run once per n, and each of ``--rounds``
 rounds only draws parameters and runs steps 3-5; the baselines (fermat,
 strong, lucas) draw and test once per round.  n = 2 is decided here, as
-probable prime with no rounds.  A bad ``--delta`` for rqft-smallc is
-rejected before the first n.  With ``--stdin``, a bad line, a ``--base``
+probable prime with no rounds.  A bad ``--delta`` for rqft-smallc, and a
+``--delta`` or ``--base`` that the method does not take, are rejected
+before the first n.  With ``--stdin``, a bad line, a ``--base``
 that is a multiple of that n, or an exhausted search or sampler is
 reported as ``error: line K: ...`` and the rest of the batch is still
 tested; the exit status is the worst one seen.
@@ -48,6 +49,7 @@ from .frobenius import (  # noqa: F401
     sample_nonresidue,
     strong_test,
     _METHODS,
+    _check_options,
 )
 from .nonresidue import (
     NonresidueNotFound,
@@ -55,7 +57,6 @@ from .nonresidue import (
     charsum_experiment,
     density_experiment,
     find_small_nonresidue,
-    _search_delta,
 )
 from .quadext import OpCounter
 
@@ -111,8 +112,8 @@ def cmd_test(args) -> int:
     if args.rounds < 1:
         print("error: --rounds must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.method == "rqft-smallc":
-        _search_delta(args.delta)  # a ValueError here is a usage error before any output
+    # a ValueError here is a usage error before any output
+    _check_options(args.method, args.delta, args.base)
     if args.stdin:
         entries = [
             (f"line {k}: ", token)

@@ -588,8 +588,10 @@ def run_rounds(
 ) -> "tuple[Verdict, int]":
     """Decide n by up to ``rounds`` rounds of "qft", "rqft", "rqft-smallc", "fermat", "strong" or "lucas".
 
-    Returns (verdict, rounds run).  The method, ``rounds``, n and, for
-    "rqft-smallc", ``delta`` are checked before anything is drawn.  For the
+    Returns (verdict, rounds run).  The method, ``rounds``, n, ``delta``
+    and ``base`` are checked before anything is drawn: ``delta`` applies to
+    "rqft-smallc" only and ``base`` to "fermat" and "strong" only, and
+    either one given to another method raises ValueError.  For the
     extension methods the work that depends on n alone runs once: steps
     1-2 and the B^2 shortcut (either decides with 0 rounds), then for
     "rqft-smallc" the small-nonresidue search with exponent ``delta`` (a
@@ -611,15 +613,12 @@ def _decide(n, method, rng, rounds, counter, delta, base, phases=None, force_ext
     unless the search ran) and the last round's parameters (None unless that
     round drew them all).
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    _check_options(method, delta, base)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     n = modulus_value(n)
     outcome = small_c = None
     if method in ("qft", "rqft", "rqft-smallc"):
-        if method == "rqft-smallc" and delta is not None:  # None is the default, valid exponent
-            nonresidue._search_delta(delta)
         verdict = _screen(n, force_extension_steps)
         if verdict is not None:
             return verdict, 0, None, None
@@ -635,6 +634,18 @@ def _decide(n, method, rng, rounds, counter, delta, base, phases=None, force_ext
         if not verdict.is_probable_prime:
             return verdict, k, outcome, params
     return verdict, rounds, outcome, params
+
+
+def _check_options(method: str, delta, base: Optional[int]) -> None:
+    """Reject an unknown method, a delta or base that ``method`` does not take, and a bad delta."""
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if base is not None and method not in ("fermat", "strong"):
+        raise ValueError(f"base applies to fermat and strong only, not {method}")
+    if delta is not None:  # None is the default, valid exponent
+        if method != "rqft-smallc":
+            raise ValueError(f"delta applies to rqft-smallc only, not {method}")
+        nonresidue._search_delta(delta)
 
 
 def _round(n, method, rng, counter, phases, small_c, base):

@@ -33,8 +33,9 @@ on local ints and reduces once per output coefficient (2 reductions per
 pure-form operation with a small c, 3 where v^2 must be reduced before a
 full-size b or c multiplies it), a scalar base is the built-in ``pow``,
 and so is all but a few bits of the power of a unit base with a scalar
-power e^(2^a).  The dominant ladder of a pure-form base other than x, from
-128 exponent bits on, slides windows of up to 7 bits: about bits/(k+1)
+power e^(2^a).  The dominant ladder slides windows of up to 7 bits in both
+forms, from 128 exponent bits on for a pure-form base other than x and
+from 384 bits on for any general-form base, x included: about bits/(k+1)
 multiply steps by precomputed odd powers instead of one per set bit.  The
 booked counts realize the per-operation cost model; the concrete bignum
 products and reductions differ, which never changes values.
@@ -339,14 +340,16 @@ def ext_pow(
     only where a full-size b or c multiplies it), and every bucket is
     booked once at the end.  A scalar base is the built-in ``pow``.
 
-    ``generic_squares=True`` marks the dominant ladder.  In the pure form,
-    for a base other than x and an exponent of at least 128 bits, it runs
-    ``_pure_window``, a left-to-right sliding window of a width chosen from
-    exp's bit length: about bits/(k+1) multiply steps by precomputed odd
-    powers instead of one per set bit.  A window never forms the binary
-    ladder's prefix powers, which is why this booking tracks no scalar
-    accumulator.  Below 128 bits, for x (whose multiply step is the cheap
-    mul_by_x) and in the general form, the binary loop runs.
+    ``generic_squares=True`` marks the dominant ladder.  It runs a
+    left-to-right sliding window of a width chosen from exp's bit length:
+    about bits/(k+1) multiply steps by precomputed odd powers instead of one
+    per set bit.  In the pure form ``_pure_window`` runs for a base other
+    than x from 128 exponent bits on; x, whose multiply step is the cheap
+    mul_by_x (one product by c), keeps the binary loop.  In the general form
+    ``_general_window`` runs for every base, x (the ``qft`` ladder) included,
+    from 384 bits on.  A window never forms the binary ladder's prefix
+    powers, which is why this booking tracks no scalar accumulator.  Below
+    the crossovers the binary loop runs.
 
     Otherwise the binary loop counts the steps whose accumulator is
     scalar.  A base whose power e^(2^a) is a unit scalar s for a small a
@@ -379,6 +382,9 @@ def ext_pow(
         if ring.b is None and not is_x and steps >= _WINDOW_MIN_STEPS:
             k = _window_width(steps + 1)
             acc = _pure_window(u, v, exp, n, ring.c, ring.small_c_bits is None, k)
+        elif ring.b is not None and steps >= _GENERAL_WINDOW_MIN_STEPS:
+            k = _window_width(steps + 1)
+            acc = _general_window(u, v, exp, n, ring.b, ring.c, k)
         else:
             acc = _ladder(u, v, exp, ring, is_x)[0]
     else:
@@ -499,6 +505,14 @@ def _pure_ladder(u: int, v: int, exp: int, n: int, c: int, full_c: bool, is_x: b
 #: exponents and about 5% faster at 128 bits.
 _WINDOW_MIN_STEPS = 127
 
+#: Squaring steps from which the dominant general-form ladder slides windows.
+#: Timed the same way, window over binary for x (the qft ladder, whose binary
+#: multiply step is mul_by_x) at (n+1)/2: about 1.0 at 256-bit exponents,
+#: 0.95-1.0 at 384, 0.92-0.95 at 512, 0.90 at 768 and 0.87-0.92 at 1024 and
+#: 2048.  A general base other than x gains from 128 bits on (0.87 there,
+#: 0.80 at 512, 0.74 at 2048), but no test method's ladder has one.
+_GENERAL_WINDOW_MIN_STEPS = 383
+
 #: Per width k, the windows of a binary string: a 1, or up to k bits
 #: from a 1 to a 1 (the greedy match is the longest).
 _WINDOWS = {k: re.compile("1(?:[01]{0,%d}1)?" % (k - 2)) for k in range(4, 8)}
@@ -508,6 +522,26 @@ def _window_width(bits: int) -> int:
     """The k in 4..7 with the fewest products: 2^(k-1) table entries plus
     about bits/(k+1) multiply steps (4 at 128 bits, 5 at 256, 7 at 2048)."""
     return min(_WINDOWS, key=lambda k: (1 << (k - 1)) + bits / (k + 1))
+
+
+def _window_plan(exp: int, k: int, table: list):
+    """exp's left-to-right sliding windows of width k, as the window kernels run them.
+
+    ``table[i]`` holds z^(2i + 1).  Returns the first window's entry and,
+    per later window, (squarings since the previous window, its entry),
+    then (the trailing zeros, None).
+    """
+    bits = bin(exp)
+    windows = _WINDOWS[k].finditer(bits, 2)
+    first = next(windows)
+    plan = []
+    pos = first.end()
+    for window in windows:
+        end = window.end()
+        plan.append((end - pos, table[int(window.group(), 2) >> 1]))
+        pos = end
+    plan.append((len(bits) - pos, None))
+    return table[int(first.group(), 2) >> 1], plan
 
 
 def _pure_window(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int) -> QuadExtElement:
@@ -538,18 +572,7 @@ def _pure_window(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int)
             q %= n
         u = (p + c * q) % n
         table.append((u, v, u + v))
-    # (squarings, odd power) per window after the first; the trailing zeros last
-    bits = bin(exp)
-    windows = _WINDOWS[k].finditer(bits, 2)
-    first = next(windows)
-    u, v, _ = table[int(first.group(), 2) >> 1]
-    plan = []
-    pos = first.end()
-    for window in windows:
-        end = window.end()
-        plan.append((end - pos, table[int(window.group(), 2) >> 1]))
-        pos = end
-    plan.append((len(bits) - pos, None))
+    (u, v, _), plan = _window_plan(exp, k, table)
     for squares, power in plan:
         for _ in range(squares):
             uu = u * u
@@ -602,6 +625,44 @@ def _general_ladder(u: int, v: int, exp: int, n: int, b: int, c: int, is_x: bool
                 u = (p + c * q) % n
                 v = (t + b * q) % n
     return QuadExtElement(u, v), scalar_squares, scalar_mults
+
+
+def _general_window(u: int, v: int, exp: int, n: int, b: int, c: int, k: int) -> QuadExtElement:
+    """u + v*x raised to exp in Z[x]/(n, x^2 - b*x - c) by left-to-right
+    sliding windows of width k, with exp >= 1, as ``_pure_window``.
+
+    Each odd power z = zu + zv*x is stored with the ring's parameters folded
+    in, as (zu, c*zv, zv, zu + b*zv) mod n, so a window's product is
+    u*zu + v*(c*zv) and (u*zv + v*(zu + b*zv))*x: 4 products and 2
+    reductions.  Squares are those of ``_general_ladder``.
+    """
+    uu = u * u
+    vv = v * v
+    t = u + v
+    t = t * t - uu - vv
+    vv %= n
+    su = (uu + c * vv) % n
+    sv = (t + b * vv) % n
+    sc = c * sv % n
+    sb = (su + b * sv) % n
+    table = [(u, c * v % n, v, (u + b * v) % n)]
+    for _ in range((1 << (k - 1)) - 1):
+        u, v = (u * su + v * sc) % n, (u * sv + v * sb) % n
+        table.append((u, c * v % n, v, (u + b * v) % n))
+    (u, _, v, _), plan = _window_plan(exp, k, table)
+    for squares, power in plan:
+        for _ in range(squares):
+            uu = u * u
+            vv = v * v
+            t = u + v
+            t = t * t - uu - vv
+            vv %= n
+            u = (uu + c * vv) % n
+            v = (t + b * vv) % n
+        if power:
+            zu, zc, zv, zb = power
+            u, v = (u * zu + v * zc) % n, (u * zv + v * zb) % n
+    return QuadExtElement(u, v)
 
 
 def frobenius_conjugate(e: QuadExtElement, ring: ExtensionRing) -> QuadExtElement:

@@ -141,9 +141,22 @@ def test_a_bad_delta_is_rejected_before_the_first_line(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("11\n13\n2500000033\n"))
     code, out, err = run(capsys, "test", "--stdin", "--method", "rqft-smallc", "--delta", "0.1")
     assert (code, out, err) == (2, "", error)
-    # the other methods do not search and ignore --delta, as before
-    code, out, _ = run(capsys, "test", "11", "--method", "qft", "--delta", "0.1")
-    assert code == 0 and "verdict=probable-prime" in out
+
+
+
+def test_an_option_the_method_does_not_take_is_rejected_before_the_first_line(capsys, monkeypatch):
+    for method in ("qft", "rqft", "fermat", "strong", "lucas"):
+        for delta in ("0.1", "0.25"):  # in range or not
+            assert run(capsys, "test", "11", "--method", method, "--delta", delta) == (
+                2, "", f"error: delta applies to rqft-smallc only, not {method}\n"
+            )
+    for method in ("qft", "rqft", "rqft-smallc", "lucas"):
+        error = f"error: base applies to fermat and strong only, not {method}\n"
+        assert run(capsys, "test", "11", "--method", method, "--base", "7") == (2, "", error)
+        monkeypatch.setattr("sys.stdin", io.StringIO("2\n11\n2500000033\n"))
+        assert run(capsys, "test", "--stdin", "--method", method, "--base", "7") == (2, "", error)
+    # n = 2 is decided without a round, but the options are checked first
+    assert run(capsys, "test", "2", "--method", "lucas", "--base", "3")[0] == 2
 
 
 def test_a_base_that_is_a_multiple_of_one_line_is_reported_for_that_line(capsys, monkeypatch):

@@ -398,8 +398,18 @@ def test_run_rounds_rejects_bad_arguments():
             with pytest.raises(ValueError, match="delta must lie in"):
                 call(rng)
             assert rng.getstate() == state
-    # the other methods do not search, so they ignore delta as before
-    assert run_rounds(11, "qft", random.Random(1), 1, None, delta="0.1") == (Verdict.probable_prime(), 0)
+    # a delta or base the method does not take is rejected before the screen
+    # too, in range or not, and nothing is drawn
+    methods = frobenius._METHODS
+    options = [(m, {"delta": d}) for m in methods if m != "rqft-smallc" for d in ("0.1", "0.25")]
+    options += [(m, {"base": 2}) for m in methods if m not in ("fermat", "strong")]
+    for n in (11, 2500000033):
+        for method, kw in options:
+            rng = random.Random(1)
+            state = rng.getstate()
+            with pytest.raises(ValueError, match="applies to .* only, not " + method):
+                run_rounds(n, method, rng, 1, None, **kw)
+            assert rng.getstate() == state
 
 
 def test_rounds_book_once_when_callers_share_phases_and_counter():

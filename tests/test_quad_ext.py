@@ -489,26 +489,45 @@ def _window_exponents(rng, bits, k):
     yield (rng.getrandbits(bits) | top) & ~((1 << (bits // 3)) - 1)  # trailing zero run
 
 
+def _window(base, exp, ring, k):
+    """base^exp by the window kernel of ring's form."""
+    if ring.b is None:
+        return quadext._pure_window(*base, exp, ring.n, ring.c, ring.small_c_bits is None, k)
+    return quadext._general_window(*base, exp, ring.n, ring.b, ring.c, k)
+
+
 def test_window_kernel_matches_the_step_by_step_ladder():
     rng = random.Random(20261019)
     assert [quadext._window_width(bits) for bits in (128, 256, 1024, 2048)] == [4, 5, 6, 7]
-    for bits in (1, 2, 3, 8, 64, 127, 128, 129, 300, 1024, 4096):
-        n = rng.getrandbits(rng.choice((16, 64, 256))) | 3
-        rings = [ExtensionRing.pure(n, rng.randrange(n)), ExtensionRing.pure(n, rng.randrange(2, 60), small=True)]
+    for i, bits in enumerate((1, 2, 3, 8, 64, 127, 128, 129, 300, 383, 384, 385, 1024, 4096)):
+        n = rng.getrandbits((16, 64, 256)[i % 3]) | 3
+        # small and full-size c; in the general form, x too, and a full-size b
+        # with a small c, then a small b with a full-size c
+        rings = [
+            ExtensionRing.pure(n, rng.randrange(n)),
+            ExtensionRing.pure(n, rng.randrange(2, 60), small=True),
+            ExtensionRing.general(n, rng.randrange(n), rng.randrange(60)),
+            ExtensionRing.general(n, rng.randrange(60), rng.randrange(n)),
+        ]
         for ring in rings:
-            base = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
-            full_c = ring.small_c_bits is None
+            bases = [QuadExtElement(rng.randrange(n), rng.randrange(1, n))]
+            if ring.b is not None:
+                bases.append(QuadExtElement(0, 1))
             exps = {1}.union(*(_window_exponents(rng, bits, k) for k in quadext._WINDOWS)) - {0}
-            for exp in sorted(exps):
-                want = _ext_pow_by_steps(base, exp, ring)
-                for k in quadext._WINDOWS:
-                    assert quadext._pure_window(*base, exp, n, ring.c, full_c, k) == want, (ring, base, exp, k)
+            for base in bases:
+                for exp in sorted(exps):
+                    want = _ext_pow_by_steps(base, exp, ring)
+                    for k in quadext._WINDOWS:
+                        assert _window(base, exp, ring, k) == want, (ring, base, exp, k)
     # a full-size modulus at the dominant ladder's exponent, n + 1 over its power of 2
     n = rng.getrandbits(2048) | 1 << 2047 | 1
-    ring = ExtensionRing.pure(n, rng.randrange(n))
-    base = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
     exp = (n + 1) >> ((n + 1) & -(n + 1)).bit_length() - 1
-    assert quadext._pure_window(*base, exp, n, ring.c, True, 7) == _ext_pow_by_steps(base, exp, ring)
+    base = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
+    ring = ExtensionRing.pure(n, rng.randrange(n))
+    assert _window(base, exp, ring, 7) == _ext_pow_by_steps(base, exp, ring)
+    ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(n))
+    for z in (base, QuadExtElement(0, 1)):
+        assert _window(z, exp, ring, 7) == _ext_pow_by_steps(z, exp, ring)
 
 
 _PRODUCT_COST = {  # (squarings, full_mults, small_mults, param_mults) of one non-scalar op
@@ -523,24 +542,24 @@ def _form(ring):
 
 
 def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
-    windows = []
-    pure_window = quadext._pure_window
+    windows = {"_pure_window": [], "_general_window": []}
+    for kernel, calls in windows.items():
 
-    def recorded(*args):
-        windows.append(args[2].bit_length())
-        return pure_window(*args)
+        def recorded(*args, kernel=getattr(quadext, kernel), calls=calls):
+            calls.append((args[:2] == (0, 1), args[2].bit_length()))
+            return kernel(*args)
 
-    monkeypatch.setattr(quadext, "_pure_window", recorded)
+        monkeypatch.setattr(quadext, kernel, recorded)
     rng = random.Random(20261020)
     cases = list(_kernel_cases())
-    # both sides of the crossover, with accumulators that pass through a scalar
-    for bits in (8, 64, 126, 127, 128, 129, 200, 600):
+    # both sides of each crossover, with accumulators that pass through a scalar
+    for bits in (8, 64, 126, 127, 128, 129, 200, 382, 383, 384, 385, 600):
         p = nextprime(rng.getrandbits(bits))
         for form in _PRODUCT_COST:
             ring = _field(rng, p, form)
             base = QuadExtElement(rng.randrange(p), rng.randrange(1, p))
             cases += [(ring, base, (p + 1) << low | rng.getrandbits(low)) for low in (0, 3)]
-            cases += [(ring, base, rng.getrandbits(bits) | 1 << (bits - 1))]
+            cases += [(ring, z, rng.getrandbits(bits) | 1 << (bits - 1)) for z in (base, QuadExtElement(0, 1))]
     for ring, base, exp in cases:
         if not exp or not base[1] % ring.n:
             continue
@@ -563,5 +582,11 @@ def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
             for counter, expected in zip(got, want):
                 tally = [counter.squarings, counter.full_mults, counter.small_mults, counter.param_mults]
                 assert tally == expected, (ring, base, exp, counters)
-    # the pure form's non-x bases of 128 bits and more ran the window kernel
-    assert min(windows) == 128 and max(windows) > 400
+    # the pure form's non-x bases of 128 bits and more ran its window kernel,
+    # and the general form's bases, x among them, of 384 bits and more ran its own
+    pure, general = windows["_pure_window"], windows["_general_window"]
+    assert not any(is_x for is_x, _ in pure)
+    assert min(bits for _, bits in pure) == 128 and max(bits for _, bits in pure) > 400
+    for is_x in (False, True):
+        assert min(bits for x, bits in general if x == is_x) == 384, is_x
+    assert max(bits for _, bits in general) > 400
