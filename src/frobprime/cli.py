@@ -37,7 +37,6 @@ from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
 # under these names.
 from .frobenius import (  # noqa: F401
     ParamSearchExhausted,
-    Verdict,
     generate_qft_params,
     generate_rqft_params,
     initial_screen,
@@ -83,11 +82,8 @@ def _emit(report: dict, output: str) -> None:
 
 def _test_one(n: int, args, rng: random.Random, seed: Optional[int]) -> "tuple[dict, int]":
     counter = OpCounter()
-    if n == 2:
-        verdict, rounds_run = Verdict.probable_prime(), 0
-    else:
-        verdict, rounds_run = run_rounds(n, args.method, rng, args.rounds, counter,
-                                         delta=args.delta, base=args.base)
+    verdict, rounds_run = run_rounds(n, args.method, rng, args.rounds, counter,
+                                     delta=args.delta, base=args.base)
     report = {
         "n": n,
         "method": args.method,

@@ -47,8 +47,9 @@ __all__ = [
     "summarize",
 ]
 
-#: Smallest exponent with an unconditional nonresidue-search guarantee,
-#: 1/(3*sqrt(e)); the table prices small multiplications at this ratio.
+#: 1/(3*sqrt(e)), the threshold above which the nonresidue search succeeds
+#: for every large enough odd nonsquare n (an asymptotic bound, not one for
+#: every n); the table prices small multiplications at this ratio.
 DELTA_STAR = 1.0 / (3.0 * math.sqrt(math.e))
 
 #: Representative multiplication-to-squaring ratios for the cost table.

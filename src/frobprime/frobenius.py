@@ -591,7 +591,8 @@ def run_rounds(
     Returns (verdict, rounds run).  The method, ``rounds``, n, ``delta``
     and ``base`` are checked before anything is drawn: ``delta`` applies to
     "rqft-smallc" only and ``base`` to "fermat" and "strong" only, and
-    either one given to another method raises ValueError.  For the
+    either one given to another method raises ValueError.  n = 2 is then a
+    probable prime after 0 rounds; any other n must be odd and > 1.  For the
     extension methods the work that depends on n alone runs once: steps
     1-2 and the B^2 shortcut (either decides with 0 rounds), then for
     "rqft-smallc" the small-nonresidue search with exponent ``delta`` (a
@@ -616,6 +617,8 @@ def _decide(n, method, rng, rounds, counter, delta, base, phases=None, force_ext
     _check_options(method, delta, base)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
+    if n == 2:
+        return Verdict.probable_prime(), 0, None, None
     n = modulus_value(n)
     outcome = small_c = None
     if method in ("qft", "rqft", "rqft-smallc"):

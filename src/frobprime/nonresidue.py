@@ -2,10 +2,13 @@
 
 ``find_small_nonresidue`` scans c = 2, 3, 5, 6, ... (perfect squares are
 skipped: their symbol is never -1) for the first c with jacobi(c, n) = -1,
-examining at most ceil(n^delta) candidates.  For every odd nonsquare n the
-scan provably succeeds whenever delta exceeds 1/(3*sqrt(e)) = 0.2021...,
+examining at most ceil(n^delta) candidates.  The bound behind the cap is
+asymptotic: for delta above 1/(3*sqrt(e)) = 0.2021... the scan succeeds for
+every odd nonsquare n beyond some size the theorem does not make explicit,
 which is why the default exponent is the slightly larger 81/400 = 0.2025.
-A zero symbol along the way yields a nontrivial factor instead.
+Below that size the cap can be too small: the prime 2929911599 has least
+nonresidue 97, the 88th candidate, against a cap of 83.  A zero symbol
+along the way yields a nontrivial factor instead.
 
 ``density_experiment`` and ``charsum_experiment`` measure the two facts the
 guarantee rests on: non-residues are dense among small candidates, and
@@ -35,7 +38,8 @@ __all__ = [
     "find_small_nonresidue",
 ]
 
-#: Exponents strictly above this value make the search unconditional.
+#: Exponents strictly above this value make the search succeed for every
+#: large enough odd nonsquare n; the bound is asymptotic, not for every n.
 DELTA_THRESHOLD = 1.0 / (3.0 * math.sqrt(math.e))
 
 #: Default search exponent: 81/400, the smallest round decimal above the threshold.
@@ -46,8 +50,10 @@ class NonresidueNotFound(Exception):
     """The candidate cap was reached without a nonresidue or a factor.
 
     Happens for perfect squares (the symbol is never -1) and can happen
-    for other prime powers; for odd nonsquare n with delta above
-    DELTA_THRESHOLD it provably cannot.
+    for other prime powers.  With delta above DELTA_THRESHOLD it cannot
+    happen for a large enough odd nonsquare n, but the bound is asymptotic:
+    smaller ones, primes among them (2929911599 at the default delta), can
+    exhaust the cap.
     """
 
     def __init__(self, n: int, examined: int) -> None:
@@ -71,7 +77,8 @@ class SearchConfig:
 
 
 def _search_delta(delta) -> Fraction:
-    """The search exponent (DEFAULT_DELTA when None), checked to make the search unconditional."""
+    """The search exponent (DEFAULT_DELTA when None), checked to lie above the
+    asymptotic threshold DELTA_THRESHOLD and below 1."""
     d = as_fraction(delta) if delta is not None else DEFAULT_DELTA
     if not DELTA_THRESHOLD < float(d) < 1:
         raise ValueError(

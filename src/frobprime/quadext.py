@@ -28,17 +28,19 @@ like ``ext_pow``'s loops, they reduce once per output coefficient.
 ``ext_pow`` books what the plain binary ladder of those calls would book,
 computed once from the exponent's bit length and popcount, the ring form,
 the small-c flag and (without ``generic_squares``) the number of steps
-whose accumulator was scalar.  Its executed code differs: the ladder runs
-on local ints and reduces once per output coefficient (2 reductions per
-pure-form operation with a small c, 3 where v^2 must be reduced before a
-full-size b or c multiplies it), a scalar base is the built-in ``pow``,
-and so is all but a few bits of the power of a unit base with a scalar
-power e^(2^a).  The dominant ladder slides windows of up to 7 bits in both
-forms, from 128 exponent bits on for a pure-form base other than x and
-from 384 bits on for any general-form base, x included: about bits/(k+1)
-multiply steps by precomputed odd powers instead of one per set bit.  The
-booked counts realize the per-operation cost model; the concrete bignum
-products and reductions differ, which never changes values.
+whose accumulator was scalar.  Its executed code differs: a scalar base is
+the built-in ``pow``, and so is all but a few bits of the power of a unit
+base with a scalar power e^(2^a).  Every other power runs one kernel per
+ring form on local ints, reducing once per output coefficient (2 reductions
+per pure-form square with a small c, 3 where v^2 must be reduced before a
+full-size b or c multiplies it).  The kernel is a left-to-right sliding
+window whose width comes from the form and the exponent's length: width 1
+is the binary ladder, and the dominant ladder (``generic_squares``) slides
+windows of 4 to 7 bits from 128 exponent bits on in the pure form and from
+384 bits on in the general form, x included, for about bits/(k+1) multiply
+steps by precomputed odd powers instead of one per set bit.  The booked
+counts realize the per-operation cost model; the concrete bignum products
+and reductions differ, which never changes values.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ __all__ = [
     "ExtensionRing",
     "OpCounter",
     "QuadExtElement",
-    "ext_add",
     "ext_mul",
     "ext_norm",
     "ext_pow",
@@ -185,12 +186,6 @@ class QuadExtElement(NamedTuple):
 
     u: int
     v: int
-
-
-def ext_add(e1: QuadExtElement, e2: QuadExtElement, ring: ExtensionRing) -> QuadExtElement:
-    """Ring addition (additions are free in the cost model)."""
-    n = ring.n
-    return QuadExtElement((e1[0] + e2[0]) % n, (e1[1] + e2[1]) % n)
 
 
 def _book_op(ring: ExtensionRing, counter: OpCounter, ops: int = 1, *, square: bool) -> None:
@@ -340,18 +335,17 @@ def ext_pow(
     only where a full-size b or c multiplies it), and every bucket is
     booked once at the end.  A scalar base is the built-in ``pow``.
 
-    ``generic_squares=True`` marks the dominant ladder.  It runs a
-    left-to-right sliding window of a width chosen from exp's bit length:
-    about bits/(k+1) multiply steps by precomputed odd powers instead of one
-    per set bit.  In the pure form ``_pure_window`` runs for a base other
-    than x from 128 exponent bits on; x, whose multiply step is the cheap
-    mul_by_x (one product by c), keeps the binary loop.  In the general form
-    ``_general_window`` runs for every base, x (the ``qft`` ladder) included,
-    from 384 bits on.  A window never forms the binary ladder's prefix
-    powers, which is why this booking tracks no scalar accumulator.  Below
-    the crossovers the binary loop runs.
+    Each ring form has one kernel, a left-to-right sliding window of width
+    k whose width-1 case is the binary ladder; the width comes from the form
+    and exp's bit length only.  ``generic_squares=True`` marks the dominant
+    ladder: from 128 exponent bits on in the pure form and from 384 bits on
+    in the general form, for every base, x included, it slides windows of
+    4 to 7 bits, about bits/(k+1) multiply steps by precomputed odd powers
+    instead of one per set bit.  A window never forms the binary ladder's
+    prefix powers, which is why this booking tracks no scalar accumulator.
+    Every other ladder has width 1.
 
-    Otherwise the binary loop counts the steps whose accumulator is
+    Otherwise the binary ladder counts the steps whose accumulator is
     scalar.  A base whose power e^(2^a) is a unit scalar s for a small a
     (see ``_scalar_power``) skips most of the ladder: e**exp =
     s^(exp >> a) * e^(exp mod 2^a), one built-in ``pow`` and a ladder of a
@@ -376,27 +370,24 @@ def ext_pow(
         if mult_counter is not None:
             mult_counter.full_mults += mults
         return QuadExtElement(pow(u, exp, n), 0)
-    is_x = u == 0 and v == 1
+    if ring.b is None:
+        kernel, params, min_steps = _pure_power, (ring.c, ring.small_c_bits is None), _WINDOW_MIN_STEPS
+    else:
+        kernel, params, min_steps = _general_power, (ring.b, ring.c), _GENERAL_WINDOW_MIN_STEPS
     scalar_squares = scalar_mults = 0
     if generic_squares:
-        if ring.b is None and not is_x and steps >= _WINDOW_MIN_STEPS:
-            k = _window_width(steps + 1)
-            acc = _pure_window(u, v, exp, n, ring.c, ring.small_c_bits is None, k)
-        elif ring.b is not None and steps >= _GENERAL_WINDOW_MIN_STEPS:
-            k = _window_width(steps + 1)
-            acc = _general_window(u, v, exp, n, ring.b, ring.c, k)
-        else:
-            acc = _ladder(u, v, exp, ring, is_x)[0]
+        k = _window_width(steps + 1) if steps >= min_steps else 1
+        acc = kernel(u, v, exp, n, *params, k)[0]
     else:
         split = _scalar_power(u, v, exp, ring)
         if split is None:
-            acc, scalar_squares, scalar_mults = _ladder(u, v, exp, ring, is_x)
+            acc, scalar_squares, scalar_mults = kernel(u, v, exp, n, *params, 1)
         else:
             a, s = split
             high = pow(s, exp >> a, n)
             low = exp & ((1 << a) - 1)
             if low:
-                lu, lv = _ladder(u, v, low, ring, is_x)[0]
+                lu, lv = kernel(u, v, low, n, *params, 1)[0]
                 acc = QuadExtElement(high * lu % n, high * lv % n)
             else:
                 acc = QuadExtElement(high, 0)
@@ -405,7 +396,7 @@ def ext_pow(
         counter.squarings += scalar_squares
         _book_op(ring, counter, steps - scalar_squares, square=True)
     if mult_counter is not None:
-        if is_x:
+        if u == 0 and v == 1:
             _book_mul_by_x(ring, mult_counter, mults)
         else:
             mult_counter.full_mults += 2 * scalar_mults
@@ -456,25 +447,32 @@ def _zero_windows(exp: int, width: int) -> int:
     return windows
 
 
-def _ladder(u: int, v: int, exp: int, ring: ExtensionRing, is_x: bool):
-    """The form's ladder kernel: (power, scalar squaring steps, scalar multiply steps)."""
-    if ring.b is None:
-        return _pure_ladder(u, v, exp, ring.n, ring.c, ring.small_c_bits is None, is_x)
-    return _general_ladder(u, v, exp, ring.n, ring.b, ring.c, is_x)
-
-
-def _pure_ladder(u: int, v: int, exp: int, n: int, c: int, full_c: bool, is_x: bool):
-    """u + v*x raised to exp in Z[x]/(n, x^2 - c), with exp >= 1 and v != 0.
+def _pure_power(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int):
+    """u + v*x raised to exp in Z[x]/(n, x^2 - c) by left-to-right sliding
+    windows of width k, with exp >= 1 and v != 0.
 
     Returns (power, squaring steps on a scalar, multiply steps on a scalar).
-    A square is u^2 + c*v^2 and ((u + v)^2 - u^2 - v^2)*x, each reduced once;
-    a full-size c gets v^2 reduced first.  The multiply step by the base
-    z = zu + zv*x uses the same Karatsuba cross term.
+    Width 1 is the binary ladder; for k in 4..7 the odd powers z, z^3, ...,
+    z^(2^k - 1) are precomputed, and each window multiplies by one of them
+    after its last squaring step (Menezes-van Oorschot-Vanstone, Handbook of
+    Applied Cryptography, Alg. 14.85).  The scalar counts mean something
+    at width 1 only, where the accumulator runs through every prefix power
+    of the binary ladder.  A square is u^2 + c*v^2 and
+    ((u + v)^2 - u^2 - v^2)*x, each reduced once; a full-size c gets v^2
+    reduced first.  A product by an odd power zu + zv*x, stored as
+    (zu, zv, zu + zv), uses the same Karatsuba cross term.
     """
-    zu, zv = u, v
-    zs = zu + zv
+    table = [None, (u, v, u + v)]
+    if k > 1:
+        su, sv = (u * u + c * v * v) % n, 2 * u * v % n
+        sc = c * sv % n
+        for _ in range((1 << (k - 1)) - 1):
+            u, v = (u * su + v * sc) % n, (u * sv + v * su) % n
+            table.append((u, v, u + v))
+    first, schedule = _schedule(exp, k)
+    u, v, _ = table[first]
     scalar_squares = scalar_mults = 0
-    for bit in bin(exp)[3:]:
+    for i in schedule:
         if not v:
             scalar_squares += 1
         uu = u * u
@@ -484,125 +482,41 @@ def _pure_ladder(u: int, v: int, exp: int, n: int, c: int, full_c: bool, is_x: b
         if full_c:
             vv %= n
         u = (uu + c * vv) % n
-        if bit == "1":
+        if i:
             if not v:
                 scalar_mults += 1
-            if is_x:
-                u, v = c * v % n, u
-            else:
-                p = u * zu
-                q = v * zv
-                v = ((u + v) * zs - p - q) % n
-                if full_c:
-                    q %= n
-                u = (p + c * q) % n
-    return QuadExtElement(u, v), scalar_squares, scalar_mults
-
-
-#: Squaring steps from which the dominant pure-form ladder slides windows.
-#: Below it the binary loop is as fast: timed interleaved with CPython 3.11
-#: on a 2-core x86-64 machine, windows ran about 5% slower at 96-bit
-#: exponents and about 5% faster at 128 bits.
-_WINDOW_MIN_STEPS = 127
-
-#: Squaring steps from which the dominant general-form ladder slides windows.
-#: Timed the same way, window over binary for x (the qft ladder, whose binary
-#: multiply step is mul_by_x) at (n+1)/2: about 1.0 at 256-bit exponents,
-#: 0.95-1.0 at 384, 0.92-0.95 at 512, 0.90 at 768 and 0.87-0.92 at 1024 and
-#: 2048.  A general base other than x gains from 128 bits on (0.87 there,
-#: 0.80 at 512, 0.74 at 2048), but no test method's ladder has one.
-_GENERAL_WINDOW_MIN_STEPS = 383
-
-#: Per width k, the windows of a binary string: a 1, or up to k bits
-#: from a 1 to a 1 (the greedy match is the longest).
-_WINDOWS = {k: re.compile("1(?:[01]{0,%d}1)?" % (k - 2)) for k in range(4, 8)}
-
-
-def _window_width(bits: int) -> int:
-    """The k in 4..7 with the fewest products: 2^(k-1) table entries plus
-    about bits/(k+1) multiply steps (4 at 128 bits, 5 at 256, 7 at 2048)."""
-    return min(_WINDOWS, key=lambda k: (1 << (k - 1)) + bits / (k + 1))
-
-
-def _window_plan(exp: int, k: int, table: list):
-    """exp's left-to-right sliding windows of width k, as the window kernels run them.
-
-    ``table[i]`` holds z^(2i + 1).  Returns the first window's entry and,
-    per later window, (squarings since the previous window, its entry),
-    then (the trailing zeros, None).
-    """
-    bits = bin(exp)
-    windows = _WINDOWS[k].finditer(bits, 2)
-    first = next(windows)
-    plan = []
-    pos = first.end()
-    for window in windows:
-        end = window.end()
-        plan.append((end - pos, table[int(window.group(), 2) >> 1]))
-        pos = end
-    plan.append((len(bits) - pos, None))
-    return table[int(first.group(), 2) >> 1], plan
-
-
-def _pure_window(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int) -> QuadExtElement:
-    """u + v*x raised to exp in Z[x]/(n, x^2 - c) by left-to-right sliding
-    windows of width k, with exp >= 1.
-
-    Precomputes the odd powers z, z^3, ..., z^(2^k - 1) (one square and
-    2^(k-1) - 1 products), then for each window squares once per bit since
-    the previous one and multiplies by the window's odd power (Menezes-van
-    Oorschot-Vanstone, Handbook of Applied Cryptography, Alg. 14.85).
-    Squares and products are those of ``_pure_ladder``.  No scalar
-    accumulator is tracked.
-    """
-    uu = u * u
-    vv = v * v
-    t = u + v
-    sv = (t * t - uu - vv) % n
-    if full_c:
-        vv %= n
-    su = (uu + c * vv) % n
-    ss = su + sv
-    table = [(u, v, u + v)]
-    for _ in range((1 << (k - 1)) - 1):
-        p = u * su
-        q = v * sv
-        v = ((u + v) * ss - p - q) % n
-        if full_c:
-            q %= n
-        u = (p + c * q) % n
-        table.append((u, v, u + v))
-    (u, v, _), plan = _window_plan(exp, k, table)
-    for squares, power in plan:
-        for _ in range(squares):
-            uu = u * u
-            vv = v * v
-            t = u + v
-            v = (t * t - uu - vv) % n
-            if full_c:
-                vv %= n
-            u = (uu + c * vv) % n
-        if power:
-            zu, zv, zs = power
+            zu, zv, zs = table[i]
             p = u * zu
             q = v * zv
             v = ((u + v) * zs - p - q) % n
             if full_c:
                 q %= n
             u = (p + c * q) % n
-    return QuadExtElement(u, v)
+    return QuadExtElement(u, v), scalar_squares, scalar_mults
 
 
-def _general_ladder(u: int, v: int, exp: int, n: int, b: int, c: int, is_x: bool):
-    """u + v*x raised to exp in Z[x]/(n, x^2 - b*x - c), as ``_pure_ladder``.
+def _general_power(u: int, v: int, exp: int, n: int, b: int, c: int, k: int):
+    """u + v*x raised to exp in Z[x]/(n, x^2 - b*x - c), as ``_pure_power``.
 
     A square is u^2 + c*v^2 and 2uv + b*v^2 with 2uv = (u + v)^2 - u^2 - v^2;
-    v^2 is reduced before the products by b and c.
+    v^2 is reduced before the products by b and c.  Each odd power
+    z = zu + zv*x is stored with the ring's parameters folded in, as
+    (zu, c*zv, zv, zu + b*zv) mod n, so a product by it is u*zu + v*(c*zv)
+    and (u*zv + v*(zu + b*zv))*x: 4 products and 2 reductions.  For x that
+    entry is (0, c, 1, b), the two parameter products of ``mul_by_x``.
     """
-    zu, zv = u, v
-    zs = zu + zv
+    table = [None, (u, c * v % n, v, (u + b * v) % n)]
+    if k > 1:
+        _, zc, _, zb = table[1]
+        su, sv = (u * u + v * zc) % n, (u * v + v * zb) % n
+        sc, sb = c * sv % n, (su + b * sv) % n
+        for _ in range((1 << (k - 1)) - 1):
+            u, v = (u * su + v * sc) % n, (u * sv + v * sb) % n
+            table.append((u, c * v % n, v, (u + b * v) % n))
+    first, schedule = _schedule(exp, k)
+    u, _, v, _ = table[first]
     scalar_squares = scalar_mults = 0
-    for bit in bin(exp)[3:]:
+    for i in schedule:
         if not v:
             scalar_squares += 1
         uu = u * u
@@ -612,57 +526,60 @@ def _general_ladder(u: int, v: int, exp: int, n: int, b: int, c: int, is_x: bool
         vv %= n
         u = (uu + c * vv) % n
         v = (t + b * vv) % n
-        if bit == "1":
+        if i:
             if not v:
                 scalar_mults += 1
-            if is_x:
-                u, v = c * v % n, (u + b * v) % n
-            else:
-                p = u * zu
-                q = v * zv
-                t = (u + v) * zs - p - q
-                q %= n
-                u = (p + c * q) % n
-                v = (t + b * q) % n
+            zu, zc, zv, zb = table[i]
+            u, v = (u * zu + v * zc) % n, (u * zv + v * zb) % n
     return QuadExtElement(u, v), scalar_squares, scalar_mults
 
 
-def _general_window(u: int, v: int, exp: int, n: int, b: int, c: int, k: int) -> QuadExtElement:
-    """u + v*x raised to exp in Z[x]/(n, x^2 - b*x - c) by left-to-right
-    sliding windows of width k, with exp >= 1, as ``_pure_window``.
+#: Squaring steps from which the dominant pure-form ladder slides windows.
+#: Below it the binary ladder is as fast: timed interleaved with CPython 3.11
+#: on a 2-core x86-64 machine, windows ran about 5% slower at 96-bit
+#: exponents and about 5% faster at 128 bits.
+_WINDOW_MIN_STEPS = 127
 
-    Each odd power z = zu + zv*x is stored with the ring's parameters folded
-    in, as (zu, c*zv, zv, zu + b*zv) mod n, so a window's product is
-    u*zu + v*(c*zv) and (u*zv + v*(zu + b*zv))*x: 4 products and 2
-    reductions.  Squares are those of ``_general_ladder``.
+#: Squaring steps from which the dominant general-form ladder slides windows.
+#: Timed the same way, window over binary for x (the qft ladder) at (n+1)/2:
+#: about 1.0 at 256-bit exponents, 0.95-1.0 at 384, 0.92-0.95 at 512, 0.90
+#: at 768 and 0.87-0.92 at 1024 and 2048.  A general base other than x gains
+#: from 128 bits on (0.87 there, 0.80 at 512, 0.74 at 2048), but no test
+#: method's ladder has one.
+_GENERAL_WINDOW_MIN_STEPS = 383
+
+#: Per width k, the windows of a binary string: a 1, or up to k bits
+#: from a 1 to a 1 (the greedy match is the longest).
+_WINDOWS = {k: re.compile("1(?:[01]{0,%d}1)?" % (k - 2)) for k in range(4, 8)}
+
+#: The binary digits "0" and "1" as the width-1 schedule's indices 0 and 1.
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _window_width(bits: int) -> int:
+    """The k in 4..7 with the fewest products: 2^(k-1) table entries plus
+    about bits/(k+1) multiply steps (4 at 128 bits, 5 at 256, 7 at 2048)."""
+    return min(_WINDOWS, key=lambda k: (1 << (k - 1)) + bits / (k + 1))
+
+
+def _schedule(exp: int, k: int):
+    """exp's left-to-right sliding windows of width k, as the kernels walk them.
+
+    The kernels' table holds z^(2i - 1) at index i >= 1.  Returns the first
+    window's index and, per later bit of exp (one squaring step each), the
+    index of the entry to multiply by after that square, or 0, as bytes.
+    Width 1 is the binary ladder: exp's digits after the leading 1.
     """
-    uu = u * u
-    vv = v * v
-    t = u + v
-    t = t * t - uu - vv
-    vv %= n
-    su = (uu + c * vv) % n
-    sv = (t + b * vv) % n
-    sc = c * sv % n
-    sb = (su + b * sv) % n
-    table = [(u, c * v % n, v, (u + b * v) % n)]
-    for _ in range((1 << (k - 1)) - 1):
-        u, v = (u * su + v * sc) % n, (u * sv + v * sb) % n
-        table.append((u, c * v % n, v, (u + b * v) % n))
-    (u, _, v, _), plan = _window_plan(exp, k, table)
-    for squares, power in plan:
-        for _ in range(squares):
-            uu = u * u
-            vv = v * v
-            t = u + v
-            t = t * t - uu - vv
-            vv %= n
-            u = (uu + c * vv) % n
-            v = (t + b * vv) % n
-        if power:
-            zu, zc, zv, zb = power
-            u, v = (u * zu + v * zc) % n, (u * zv + v * zb) % n
-    return QuadExtElement(u, v)
+    bits = bin(exp)
+    if k == 1:
+        return 1, bits[3:].encode().translate(_DIGITS)
+    windows = _WINDOWS[k].finditer(bits, 2)
+    first = next(windows)
+    start = first.end()
+    schedule = bytearray(len(bits) - start)
+    for window in windows:
+        schedule[window.end() - start - 1] = (int(window.group(), 2) + 1) >> 1
+    return (int(first.group(), 2) + 1) >> 1, schedule
 
 
 def frobenius_conjugate(e: QuadExtElement, ring: ExtensionRing) -> QuadExtElement:

@@ -412,6 +412,26 @@ def test_run_rounds_rejects_bad_arguments():
             assert rng.getstate() == state
 
 
+def test_run_rounds_decides_two_after_checking_the_options():
+    rng = random.Random(1)
+    state = rng.getstate()
+    for method in frobenius._METHODS:
+        counter = OpCounter()
+        assert run_rounds(2, method, rng, 3, counter) == (Verdict.probable_prime(), 0)
+        assert counter == OpCounter()
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            run_rounds(2, method, rng, 0, None)
+    with pytest.raises(ValueError, match="base applies to fermat and strong only, not lucas"):
+        run_rounds(2, "lucas", rng, 1, None, base=3)
+    # run_rounds' one-round pipeline agrees; the rounds with given parameters
+    # have no ring mod 2
+    assert rqft_with_small_c(2, rng) == (Verdict.probable_prime(), None, None)
+    for call in (lambda: qft(2, QftParams(1, 1)), lambda: rqft(2, RqftParams(1, 1, 2))):
+        with pytest.raises(ValueError, match="modulus must be odd and > 1, got 2"):
+            call()
+    assert rng.getstate() == state
+
+
 def test_rounds_book_once_when_callers_share_phases_and_counter():
     n = 2**127 - 1
     rng = random.Random(7)
@@ -434,7 +454,7 @@ def test_rounds_book_once_when_callers_share_phases_and_counter():
         assert counter == phases.total() == one + one, name
 
 
-@pytest.mark.parametrize("n", [-7, 0, 1, 2, 4, 2**64])
+@pytest.mark.parametrize("n", [-7, 0, 1, 4, 2**64])
 def test_edge_inputs_fail_alike_at_every_entry_point(n):
     calls = {
         "qft": lambda rng: qft(n, QftParams(1, 1)),

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from sympy import isprime, legendre_symbol
+from sympy.ntheory.primetest import is_square
 
-from frobprime.arith import ceil_frac_pow, is_perfect_square, jacobi
+from frobprime.arith import TRIAL_DIVISION_BOUND, ceil_frac_pow, is_perfect_square, jacobi
 from frobprime.nonresidue import (
     DEFAULT_DELTA,
     DELTA_THRESHOLD,
@@ -104,6 +106,17 @@ def test_search_always_concludes_for_wide_nonsquares():
         assert (out.c is not None) or (out.factor is not None), n
         if out.factor is not None:
             assert 1 < out.factor < n and n % out.factor == 0
+
+
+def test_a_prime_above_the_screen_can_exhaust_the_default_cap():
+    # the cap's bound is asymptotic: this prime's least nonresidue, 97, is
+    # the 88th nonsquare candidate, and ceil(n^0.2025) is only 83
+    n = 2929911599
+    assert isprime(n) and n > TRIAL_DIVISION_BOUND**2
+    assert next(c for c in range(2, n) if legendre_symbol(c, n) == -1) == 97
+    assert sum(1 for c in range(2, 97) if not is_square(c)) == 87
+    assert SearchConfig.for_modulus(n).cap == 83
+    assert find_small_nonresidue(n) == SearchOutcome(c=None, factor=None, examined=83)
 
 
 def test_lazy_cap_search_equals_the_exact_cap_search():

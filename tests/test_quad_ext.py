@@ -11,7 +11,6 @@ from frobprime.quadext import (
     ExtensionRing,
     OpCounter,
     QuadExtElement,
-    ext_add,
     ext_mul,
     ext_norm,
     ext_pow,
@@ -64,6 +63,10 @@ def _rand_elem(rng, n):
     return QuadExtElement(rng.randrange(n), rng.randrange(n))
 
 
+def _add(e1, e2, n):
+    return QuadExtElement((e1[0] + e2[0]) % n, (e1[1] + e2[1]) % n)
+
+
 def _rand_ring(rng, n):
     if rng.random() < 0.5:
         return ExtensionRing.general(n, rng.randrange(n), rng.randrange(n))
@@ -107,8 +110,8 @@ def test_ring_axioms_hold_on_random_samples():
         ab = ext_mul(a, b, ring)
         assert ab == ext_mul(b, a, ring)
         assert ext_mul(ab, c, ring) == ext_mul(a, ext_mul(b, c, ring), ring)
-        lhs = ext_mul(a, ext_add(b, c, ring), ring)
-        rhs = ext_add(ext_mul(a, b, ring), ext_mul(a, c, ring), ring)
+        lhs = ext_mul(a, _add(b, c, n), ring)
+        rhs = _add(ext_mul(a, b, ring), ext_mul(a, c, ring), n)
         assert lhs == rhs
         one = QuadExtElement(1, 0)
         assert ext_mul(a, one, ring) == a
@@ -489,20 +492,34 @@ def _window_exponents(rng, bits, k):
     yield (rng.getrandbits(bits) | top) & ~((1 << (bits // 3)) - 1)  # trailing zero run
 
 
-def _window(base, exp, ring, k):
-    """base^exp by the window kernel of ring's form."""
+def _power(base, exp, ring, k):
+    """The power kernel of ring's form at width k: (base^exp, scalar squares, scalar products)."""
     if ring.b is None:
-        return quadext._pure_window(*base, exp, ring.n, ring.c, ring.small_c_bits is None, k)
-    return quadext._general_window(*base, exp, ring.n, ring.b, ring.c, k)
+        return quadext._pure_power(*base, exp, ring.n, ring.c, ring.small_c_bits is None, k)
+    return quadext._general_power(*base, exp, ring.n, ring.b, ring.c, k)
+
+
+def _scalar_steps_by_steps(base, exp, ring):
+    """The squaring and multiply steps of the binary ladder of ext_square and
+    ext_mul calls whose accumulator is a scalar."""
+    acc, squares, mults = base, 0, 0
+    for bit in bin(exp)[3:]:
+        squares += acc.v == 0
+        acc = ext_square(acc, ring)
+        if bit == "1":
+            mults += acc.v == 0
+            acc = ext_mul(acc, base, ring)
+    return squares, mults
 
 
 def test_window_kernel_matches_the_step_by_step_ladder():
     rng = random.Random(20261019)
     assert [quadext._window_width(bits) for bits in (128, 256, 1024, 2048)] == [4, 5, 6, 7]
+    widths = (1, *quadext._WINDOWS)
     for i, bits in enumerate((1, 2, 3, 8, 64, 127, 128, 129, 300, 383, 384, 385, 1024, 4096)):
         n = rng.getrandbits((16, 64, 256)[i % 3]) | 3
-        # small and full-size c; in the general form, x too, and a full-size b
-        # with a small c, then a small b with a full-size c
+        # small and full-size c; in the general form a full-size b with a
+        # small c, then a small b with a full-size c
         rings = [
             ExtensionRing.pure(n, rng.randrange(n)),
             ExtensionRing.pure(n, rng.randrange(2, 60), small=True),
@@ -510,24 +527,37 @@ def test_window_kernel_matches_the_step_by_step_ladder():
             ExtensionRing.general(n, rng.randrange(60), rng.randrange(n)),
         ]
         for ring in rings:
-            bases = [QuadExtElement(rng.randrange(n), rng.randrange(1, n))]
-            if ring.b is not None:
-                bases.append(QuadExtElement(0, 1))
             exps = {1}.union(*(_window_exponents(rng, bits, k) for k in quadext._WINDOWS)) - {0}
-            for base in bases:
+            for base in (QuadExtElement(rng.randrange(n), rng.randrange(1, n)), QuadExtElement(0, 1)):
                 for exp in sorted(exps):
                     want = _ext_pow_by_steps(base, exp, ring)
-                    for k in quadext._WINDOWS:
-                        assert _window(base, exp, ring, k) == want, (ring, base, exp, k)
+                    for k in widths:
+                        assert _power(base, exp, ring, k)[0] == want, (ring, base, exp, k)
+    # width 1 counts the binary ladder's scalar steps: in F_(p^2) an exponent
+    # with the prefix p + 1 puts z^(p + 1), the scalar norm, in the accumulator
+    scalar_steps = 0
+    for i in range(90):
+        p = nextprime(rng.getrandbits((10, 64, 200)[i % 3]))
+        ring = _field(rng, p, ("general", "pure", "pure-small")[i // 3 % 3])
+        base = QuadExtElement(0, 1) if i % 2 else QuadExtElement(rng.randrange(p), rng.randrange(1, p))
+        low = rng.randrange(1, 6)
+        exp = (p + 1) << low | rng.getrandbits(low)
+        power, squares, mults = _power(base, exp, ring, 1)
+        assert power == _ext_pow_by_steps(base, exp, ring)
+        assert (squares, mults) == _scalar_steps_by_steps(base, exp, ring), (ring, base, exp)
+        for k in quadext._WINDOWS:
+            assert _power(base, exp, ring, k)[0] == power
+        scalar_steps += squares + mults
+    assert scalar_steps > 200
     # a full-size modulus at the dominant ladder's exponent, n + 1 over its power of 2
     n = rng.getrandbits(2048) | 1 << 2047 | 1
     exp = (n + 1) >> ((n + 1) & -(n + 1)).bit_length() - 1
     base = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
     ring = ExtensionRing.pure(n, rng.randrange(n))
-    assert _window(base, exp, ring, 7) == _ext_pow_by_steps(base, exp, ring)
+    assert _power(base, exp, ring, 7)[0] == _ext_pow_by_steps(base, exp, ring)
     ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(n))
     for z in (base, QuadExtElement(0, 1)):
-        assert _window(z, exp, ring, 7) == _ext_pow_by_steps(z, exp, ring)
+        assert _power(z, exp, ring, 7)[0] == _ext_pow_by_steps(z, exp, ring)
 
 
 _PRODUCT_COST = {  # (squarings, full_mults, small_mults, param_mults) of one non-scalar op
@@ -542,11 +572,12 @@ def _form(ring):
 
 
 def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
-    windows = {"_pure_window": [], "_general_window": []}
+    windows = {"_pure_power": [], "_general_power": []}
     for kernel, calls in windows.items():
 
         def recorded(*args, kernel=getattr(quadext, kernel), calls=calls):
-            calls.append((args[:2] == (0, 1), args[2].bit_length()))
+            if args[-1] > 1:
+                calls.append((args[:2] == (0, 1), args[2].bit_length()))
             return kernel(*args)
 
         monkeypatch.setattr(quadext, kernel, recorded)
@@ -582,11 +613,10 @@ def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
             for counter, expected in zip(got, want):
                 tally = [counter.squarings, counter.full_mults, counter.small_mults, counter.param_mults]
                 assert tally == expected, (ring, base, exp, counters)
-    # the pure form's non-x bases of 128 bits and more ran its window kernel,
-    # and the general form's bases, x among them, of 384 bits and more ran its own
-    pure, general = windows["_pure_window"], windows["_general_window"]
-    assert not any(is_x for is_x, _ in pure)
-    assert min(bits for _, bits in pure) == 128 and max(bits for _, bits in pure) > 400
-    for is_x in (False, True):
-        assert min(bits for x, bits in general if x == is_x) == 384, is_x
-    assert max(bits for _, bits in general) > 400
+    # windows ran from 128 bits on in the pure form and from 384 bits on in
+    # the general form, for x as for other bases
+    for kernel, crossover in (("_pure_power", 128), ("_general_power", 384)):
+        calls = windows[kernel]
+        for is_x in (False, True):
+            assert min(bits for x, bits in calls if x == is_x) == crossover, (kernel, is_x)
+        assert max(bits for _, bits in calls) > 400
