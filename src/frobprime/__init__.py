@@ -54,7 +54,6 @@ from .frobenius import (
 from .nonresidue import (
     DEFAULT_DELTA,
     DELTA_THRESHOLD,
-    NonresidueNotFound,
     SearchConfig,
     charsum_experiment,
     density_experiment,
@@ -96,7 +95,6 @@ __all__ = [
     # nonresidue
     "DEFAULT_DELTA",
     "DELTA_THRESHOLD",
-    "NonresidueNotFound",
     "SearchConfig",
     "charsum_experiment",
     "density_experiment",

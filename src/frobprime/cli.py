@@ -4,17 +4,19 @@ Subcommands: ``test`` (run a primality test), ``find-c`` (small nonresidue
 search), ``density`` / ``charsum`` (symbol statistics), ``bench`` (measure
 the multiplication-to-squaring ratio), ``cost-table`` (per-iteration cost
 model).  Exit status: 0 probable prime / success, 1 composite or factor
-found, 2 usage error, 3 search or sampling exhausted.
+found, 2 usage error, 3 a parameter sampler (``test``) or the search
+(``find-c``) exhausted.
 
 ``test`` decides each n of every method with one ``frobenius.run_rounds``
 call and prints its record: for the extension methods the screen, the B^2
 shortcut and the small-c search run once per n, and each of ``--rounds``
 rounds only draws parameters and runs steps 3-5; the baselines (fermat,
-strong, lucas) draw and test once per round.  n = 2 is decided here, as
-probable prime with no rounds.  A bad ``--delta`` for rqft-smallc, and a
-``--delta`` or ``--base`` that the method does not take, are rejected
-before the first n.  With ``--stdin``, a bad line, a ``--base``
-that is a multiple of that n, or an exhausted search or sampler is
+strong, lucas) draw and test once per round.  ``run_rounds`` decides
+n = 2 as probable prime with no rounds, and an exhausted small-c search
+falls back to rqft's drawn nonresidue.  A bad ``--delta`` for
+rqft-smallc, and a ``--delta`` or ``--base`` that the method does not
+take, are rejected before the first n.  With ``--stdin``, a bad line, a
+``--base`` that is a multiple of that n, or an exhausted sampler is
 reported as ``error: line K: ...`` and the rest of the batch is still
 tested; the exit status is the worst one seen.
 
@@ -50,13 +52,7 @@ from .frobenius import (  # noqa: F401
     _METHODS,
     _check_options,
 )
-from .nonresidue import (
-    NonresidueNotFound,
-    SearchConfig,
-    charsum_experiment,
-    density_experiment,
-    find_small_nonresidue,
-)
+from .nonresidue import SearchConfig, charsum_experiment, density_experiment, find_small_nonresidue
 from .quadext import OpCounter
 
 EXIT_PROBABLE_PRIME = 0
@@ -123,15 +119,15 @@ def cmd_test(args) -> int:
     worst = EXIT_PROBABLE_PRIME
     for where, token in entries:
         # a bad entry, or a --base that is a multiple of it, is reported and
-        # skipped; it draws nothing from rng.  An exhausted search or sampler
-        # is reported too, after its draws.
+        # skipped; it draws nothing from rng.  An exhausted sampler is
+        # reported too, after its draws.
         try:
             report, code = _test_one(_valid_n(token), args, rng, seed)
         except ValueError as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_USAGE)
             continue
-        except (NonresidueNotFound, ParamSearchExhausted) as exc:
+        except ParamSearchExhausted as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_EXHAUSTED)
             continue

@@ -51,7 +51,6 @@ from .arith import (
     two_adic_split,
 )
 from . import nonresidue
-from .nonresidue import NonresidueNotFound
 from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
 
 __all__ = [
@@ -385,10 +384,16 @@ def _extension_steps(
     step4_target: int,
     ph: PhaseCounters,
 ) -> Verdict:
-    """Steps 3-5 on a prepared ring/element; assumes steps 1-2 already passed."""
-    # Generic squares: each squaring step books the contractual
-    # per-iteration cost, even where an intermediate power is scalar.
-    r2, y, w = _half_power(z, ring, ph.squaring_steps, ph.multiply_steps, generic=True)
+    """Steps 3-5 on a prepared ring/element; assumes steps 1-2 already passed.
+
+    Step 3's z^((n+1)/2) is the dominant ladder: with n + 1 = 2^r2 * s2, y =
+    z^s2 and then w = y^(2^(r2-1)), the squaring-step count of a direct
+    (n+1)/2 ladder.  Both powers book every step at the contract cost
+    (generic_squares), even where an intermediate power is scalar.
+    """
+    r2, s2 = two_adic_split(ring.n + 1)
+    y = ext_pow(z, s2, ring, ph.squaring_steps, ph.multiply_steps, generic_squares=True)
+    w = ext_pow(y, 1 << (r2 - 1), ring, ph.squaring_steps, generic_squares=True)
     if w.v != 0:
         return Verdict.composite(CompositeReason.STEP3)
     q = ext_square(w, ring, ph.tail)  # z^(n+1), one scalar squaring
@@ -397,21 +402,6 @@ def _extension_steps(
     if not _step5_from_intermediates(y, w, r2, ring, ph.tail):
         return Verdict.composite(CompositeReason.STEP5)
     return Verdict.probable_prime()
-
-
-def _half_power(z: QuadExtElement, ring: ExtensionRing, counter, mult_counter=None, generic=False):
-    """(r2, y, w) with n + 1 = 2^r2 * s2, y = z^s2 and w = z^((n+1)/2) = y^(2^(r2-1)).
-
-    One odd-exponent ladder, then r2 - 1 squarings: the squaring-step count
-    of a direct (n+1)/2 ladder.  ``generic`` reaches ext_pow and ext_square
-    as their keyword flags.
-    """
-    r2, s2 = two_adic_split(ring.n + 1)
-    y = ext_pow(z, s2, ring, counter, mult_counter, generic_squares=generic)
-    w = y
-    for _ in range(r2 - 1):
-        w = ext_square(w, ring, counter, generic=generic)
-    return r2, y, w
 
 
 def _step5_from_intermediates(
@@ -481,7 +471,9 @@ def step5_chain(z: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCoun
     y^(2^a) for some a <= v2(n+1) (see ext_pow).  Values and bookings are
     those of the plain ladders either way.
     """
-    r2, y, w = _half_power(z, ring, counter)
+    r2, s2 = two_adic_split(ring.n + 1)
+    y = ext_pow(z, s2, ring, counter)
+    w = ext_pow(y, 1 << (r2 - 1), ring, counter)
     return _step5_from_intermediates(y, w, r2, ring, counter)
 
 
@@ -566,10 +558,12 @@ def rqft_with_small_c(
     shortcut run first; when either decides, the search and the draw do not
     run and the result is (verdict, None, None).  A factor surfaced by the
     search or by parameter sampling short-circuits to a composite verdict
-    with params None.  If the search exhausts its candidate cap,
-    NonresidueNotFound propagates (squares and prime powers can make the
-    search fail; that failure is reported, never swallowed).  The drawn
-    parameters are not checked again: the sampler has just checked them.
+    with params None.  If the search exhausts its candidate cap (squares,
+    prime powers and some primes, 2929911599 among them, can make it), the
+    outcome says not-found and the round falls back to rqft's ring: a
+    nonresidue drawn by ``sample_nonresidue``, booked as full-size.  The
+    drawn parameters are not checked again: the sampler has just checked
+    them.
     """
     verdict, _, outcome, params = _decide(n, "rqft-smallc", rng, 1, counter, delta, None,
                                           phases, force_extension_steps)
@@ -596,13 +590,14 @@ def run_rounds(
     extension methods the work that depends on n alone runs once: steps
     1-2 and the B^2 shortcut (either decides with 0 rounds), then for
     "rqft-smallc" the small-nonresidue search with exponent ``delta`` (a
-    factor it finds decides after 1 round; an exhausted search raises
-    NonresidueNotFound).  The baselines have no screen.  Each round draws
-    parameters as the method's samplers do, in the same order from ``rng``
-    (fermat and strong take ``base`` instead when given), and runs the
-    test; a factor found by a sampler or a composite verdict ends the run.
-    The rounds trust the symbols the samplers have just checked.
-    ``counter`` receives the ops of every round.
+    factor it finds decides after 1 round; after an exhausted search the
+    rounds draw rqft's full-size nonresidue).  The baselines have no
+    screen.  Each round draws parameters as the method's samplers do, in
+    the same order from ``rng`` (fermat and strong take ``base`` instead
+    when given), and runs the test; a factor found by a sampler or a
+    composite verdict ends the run.  The rounds trust the symbols the
+    samplers have just checked.  ``counter`` receives the ops of every
+    round.
     """
     return _decide(n, method, rng, rounds, counter, delta, base)[:2]
 
@@ -629,9 +624,7 @@ def _decide(n, method, rng, rounds, counter, delta, base, phases=None, force_ext
             outcome = nonresidue.find_small_nonresidue(n, delta=delta)
             if outcome.factor is not None:
                 return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, outcome.factor), 1, outcome, None
-            if outcome.c is None:
-                raise NonresidueNotFound(n, outcome.examined)
-            small_c = outcome.c
+            small_c = outcome.c  # None after an exhausted search: rqft's ring
     for k in range(1, rounds + 1):
         verdict, params = _round(n, method, rng, counter, phases, small_c, base)
         if not verdict.is_probable_prime:

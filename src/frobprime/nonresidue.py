@@ -30,7 +30,6 @@ __all__ = [
     "DELTA_THRESHOLD",
     "CharSumReport",
     "DensityReport",
-    "NonresidueNotFound",
     "SearchConfig",
     "SearchOutcome",
     "charsum_experiment",
@@ -44,22 +43,6 @@ DELTA_THRESHOLD = 1.0 / (3.0 * math.sqrt(math.e))
 
 #: Default search exponent: 81/400, the smallest round decimal above the threshold.
 DEFAULT_DELTA = Fraction("0.2025")
-
-
-class NonresidueNotFound(Exception):
-    """The candidate cap was reached without a nonresidue or a factor.
-
-    Happens for perfect squares (the symbol is never -1) and can happen
-    for other prime powers.  With delta above DELTA_THRESHOLD it cannot
-    happen for a large enough odd nonsquare n, but the bound is asymptotic:
-    smaller ones, primes among them (2929911599 at the default delta), can
-    exhaust the cap.
-    """
-
-    def __init__(self, n: int, examined: int) -> None:
-        super().__init__(f"no nonresidue below the cap for n={n} ({examined} candidates examined)")
-        self.n = n
-        self.examined = examined
 
 
 @dataclass(frozen=True)
@@ -113,8 +96,10 @@ def find_small_nonresidue(n: int, config: Optional[SearchConfig] = None, *, delt
 
     Returns the first hit as ``SearchOutcome(c=...)``; a zero symbol
     returns ``SearchOutcome(factor=gcd(c, n))``; hitting the cap returns a
-    not-found outcome (callers that need a hard guarantee raise
-    NonresidueNotFound from it).
+    not-found outcome.  That happens for perfect squares (the symbol is
+    never -1), can happen for other prime powers, and, the bound being
+    asymptotic, for some smaller primes too; ``frobenius.run_rounds`` then
+    falls back to a drawn full-size nonresidue.
 
     Without a ``config`` the exact cap ceil(n^delta) is computed only if the
     scan needs it.  n >= 2^(bits(n) - 1) gives the free lower bound

@@ -18,29 +18,30 @@ Operation counting follows the cost conventions used by the cost model:
   bits(c)/bits(n) in cost summaries).
 * Scalar fast paths: squaring a scalar (v == 0) books exactly 1 squaring;
   a scalar times a full element books 2 full multiplications; a scalar
-  times a scalar books 1.  Chains whose per-step cost is contractual
-  (``generic=True`` / ``generic_squares=True``) skip the scalar shortcuts
-  and book every step, squaring and multiply steps alike, at the full
-  formula's cost.
+  times a scalar books 1.  The dominant ladder, whose per-step cost is
+  contractual (``ext_pow``'s ``generic_squares=True``), skips the scalar
+  shortcuts and books every step, squaring and multiply steps alike, at
+  the full formula's cost, whatever the base.
 
 ``ext_square``, ``ext_mul`` and ``mul_by_x`` book each call as it runs;
 like ``ext_pow``'s loops, they reduce once per output coefficient.
 ``ext_pow`` books what the plain binary ladder of those calls would book,
 computed once from the exponent's bit length and popcount, the ring form,
 the small-c flag and (without ``generic_squares``) the number of steps
-whose accumulator was scalar.  Its executed code differs: a scalar base is
-the built-in ``pow``, and so is all but a few bits of the power of a unit
-base with a scalar power e^(2^a).  Every other power runs one kernel per
-ring form on local ints, reducing once per output coefficient (2 reductions
-per pure-form square with a small c, 3 where v^2 must be reduced before a
-full-size b or c multiplies it).  The kernel is a left-to-right sliding
-window whose width comes from the form and the exponent's length: width 1
-is the binary ladder, and the dominant ladder (``generic_squares``) slides
-windows of 4 to 7 bits from 128 exponent bits on in the pure form and from
-384 bits on in the general form, x included, for about bits/(k+1) multiply
-steps by precomputed odd powers instead of one per set bit.  The booked
-counts realize the per-operation cost model; the concrete bignum products
-and reductions differ, which never changes values.
+whose accumulator was scalar.  Its executed code differs: outside the
+dominant ladder a scalar base is the built-in ``pow``, and so is all but a
+few bits of the power of a unit base with a scalar power e^(2^a).  Every
+other power runs one kernel per ring form on local ints, reducing once per
+output coefficient (2 reductions per pure-form square with a small c, 3
+where v^2 must be reduced before a full-size b or c multiplies it).  The
+kernel is a left-to-right sliding window whose width comes from the form
+and the exponent's length: width 1 is the binary ladder, and the dominant
+ladder (``generic_squares``) slides windows of 4 to 7 bits from 128
+exponent bits on in the pure form and from 384 bits on in the general
+form, x included, for about bits/(k+1) multiply steps by precomputed odd
+powers instead of one per set bit.  The booked counts realize the
+per-operation cost model; the concrete bignum products and reductions
+differ, which never changes values.
 """
 
 from __future__ import annotations
@@ -218,23 +219,17 @@ def ext_square(
     e: QuadExtElement,
     ring: ExtensionRing,
     counter: Optional[OpCounter] = None,
-    *,
-    generic: bool = False,
 ) -> QuadExtElement:
     """e*e with the cheap squaring formula; equals ext_mul(e, e) in value.
 
     (u + v*x)^2 = (u^2 + c*v^2) + (2uv + b*v^2)*x, with 2uv recovered from
     (u+v)^2 - u^2 - v^2; each output coefficient is reduced once, and v^2
     first only where a full-size b or c multiplies it.  A scalar (v == 0)
-    books exactly one squaring,
-    unless ``generic=True``: a chain with a fixed per-step cost contract
-    runs branch-free at the full formula's cost instead of testing each
-    intermediate for scalarness (an intermediate power can land in the
-    base ring even when the chain's input does not).
+    books exactly one squaring.
     """
     n = ring.n
     u, v = e
-    if v == 0 and not generic:
+    if v == 0:
         if counter is not None:
             counter.squarings += 1
         return QuadExtElement(u * u % n, 0)
@@ -322,28 +317,29 @@ def ext_pow(
     bit) in ``mult_counter`` when given, else in ``counter`` as well.
     Keeping them separate lets the dominant-term contract be asserted on the
     squaring steps alone.  ``generic_squares=True`` books every step at the
-    full formula's cost, whatever the accumulator: bits(exp) - 1 squaring
-    steps (see ext_square) and popcount(exp) - 1 multiply steps (ext_mul's
-    non-scalar product, or mul_by_x).  Without it a step that squares a
-    scalar accumulator books one squaring, and a multiply step on a scalar
-    accumulator books two full multiplications (see ext_mul).  A scalar
-    base books one squaring per squaring step and one full multiplication
-    per multiply step.
+    full formula's cost, whatever the base or the accumulator: bits(exp) - 1
+    non-scalar squaring steps (see ext_square) and popcount(exp) - 1
+    non-scalar multiply steps (ext_mul's, or mul_by_x).  Without it a step
+    that squares a scalar accumulator books one squaring, and a multiply
+    step on a scalar accumulator books two full multiplications (see
+    ext_mul); a scalar base books one squaring per squaring step and one
+    full multiplication per multiply step.
 
     The executed code is not that ladder: the loops work on local ints,
     reduce once per output coefficient (the square of v is reduced first
     only where a full-size b or c multiplies it), and every bucket is
-    booked once at the end.  A scalar base is the built-in ``pow``.
+    booked once at the end.  Without ``generic_squares`` a scalar base is
+    the built-in ``pow``; with it a scalar runs its form's kernel.
 
     Each ring form has one kernel, a left-to-right sliding window of width
     k whose width-1 case is the binary ladder; the width comes from the form
     and exp's bit length only.  ``generic_squares=True`` marks the dominant
     ladder: from 128 exponent bits on in the pure form and from 384 bits on
-    in the general form, for every base, x included, it slides windows of
-    4 to 7 bits, about bits/(k+1) multiply steps by precomputed odd powers
-    instead of one per set bit.  A window never forms the binary ladder's
-    prefix powers, which is why this booking tracks no scalar accumulator.
-    Every other ladder has width 1.
+    in the general form, for every base, x and scalars included, it slides
+    windows of 4 to 7 bits, about bits/(k+1) multiply steps by precomputed
+    odd powers instead of one per set bit.  A window never forms the binary
+    ladder's prefix powers, which is why this booking tracks no scalar
+    accumulator.  Every other ladder has width 1.
 
     Otherwise the binary ladder counts the steps whose accumulator is
     scalar.  A base whose power e^(2^a) is a unit scalar s for a small a
@@ -364,7 +360,7 @@ def ext_pow(
         mult_counter = counter
     steps = exp.bit_length() - 1
     mults = exp.bit_count() - 1
-    if v == 0:
+    if v == 0 and not generic_squares:
         if counter is not None:
             counter.squarings += steps
         if mult_counter is not None:

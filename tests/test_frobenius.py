@@ -376,9 +376,27 @@ def test_run_rounds_reports_a_search_factor_after_one_round(monkeypatch):
     monkeypatch.setattr(nonresidue, "find_small_nonresidue", lambda m, delta=None: SearchOutcome(None, 1000003, 5))
     verdict, rounds_run = run_rounds(n, "rqft-smallc", random.Random(1), 4, None)
     assert (verdict, rounds_run) == (Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, 1000003), 1)
+    # an exhausted search is no verdict: the rounds run in rqft's ring
     monkeypatch.setattr(nonresidue, "find_small_nonresidue", lambda m, delta=None: SearchOutcome(None, None, 5))
-    with pytest.raises(nonresidue.NonresidueNotFound):
-        run_rounds(n, "rqft-smallc", random.Random(1), 4, None)
+    counter, ref_counter = OpCounter(), OpCounter()
+    got = run_rounds(n, "rqft-smallc", random.Random(1), 4, counter)
+    assert got == run_rounds(n, "rqft", random.Random(1), 4, ref_counter)
+    assert counter.as_dict() == ref_counter.as_dict()
+
+
+def test_an_exhausted_search_falls_back_to_the_rqft_ring():
+    # a prime above B^2 whose least nonresidue, 97, lies past the cap of 83
+    n = 2929911599
+    counter, ref_counter = OpCounter(), OpCounter()
+    got = run_rounds(n, "rqft-smallc", random.Random(1), 4, counter)
+    assert got == run_rounds(n, "rqft", random.Random(1), 4, ref_counter) == (Verdict.probable_prime(), 4)
+    assert counter.as_dict() == ref_counter.as_dict()
+    assert counter.small_mults == 0 and counter.full_mults > 0
+    verdict, outcome, params = rqft_with_small_c(n, random.Random(1))
+    assert verdict.is_probable_prime
+    assert outcome == SearchOutcome(c=None, factor=None, examined=83) and outcome.kind == "not-found"
+    rng = random.Random(1)
+    assert params == generate_rqft_params(n, sample_nonresidue(n, rng), rng)
 
 
 def test_run_rounds_rejects_bad_arguments():
@@ -744,6 +762,43 @@ def test_step5_chain_matches_the_ladders_with_a_non_scalar_w():
         non_scalar_w += w[1] != 0
         reached += bool(_tail_against_the_ladders(y, ring)[1])
     assert non_scalar_w > 2000 and reached >= 10, (non_scalar_w, reached)
+
+
+def test_a_scalar_y_books_the_ladder_contract():
+    # for p = 3 mod 4, w = y^(2^(r2-1)) squares y = z^s2 at least once; with
+    # y scalar each of those steps still books a full extension square
+    rng = random.Random(20261021)
+    x = QuadExtElement(0, 1)
+    for k in (2, 3, 4, 6):
+        p = _prime_with_v2(rng, k, 16)
+        r2, s2 = two_adic_split(p + 1)
+        steps, mults = (p + 1).bit_length() - 2, bin(s2).count("1") - 1
+        # pure form: z = e^(2^r2) makes y = e^(p+1) = N(e) a scalar
+        c = sample_nonresidue(p, rng)
+        for small in (False, True):
+            ring = ExtensionRing.pure(p, c, small=small)
+            z = QuadExtElement(0, 0)
+            while z.v == 0:
+                z = ext_pow(QuadExtElement(rng.randrange(p), rng.randrange(1, p)), 1 << r2, ring)
+            assert ext_pow(z, s2, ring).v == 0
+            ph = PhaseCounters.fresh()
+            verdict = rqft(p, RqftParams(z.v, z.u, c), phases=ph, force_extension_steps=True, small_c=small)
+            assert verdict.is_probable_prime
+            full, tiny = (2, 1) if small else (3, 0)
+            assert ph.squaring_steps == OpCounter(full_mults=full * steps, small_mults=tiny * steps), (p, small)
+            assert ph.multiply_steps == OpCounter(full_mults=full * mults, small_mults=tiny * mults), (p, small)
+        # general form: small (b, c) with x^s2 scalar
+        pairs = [
+            (b, c) for b in range(40) for c in range(1, 40)
+            if jacobi(b * b + 4 * c, p) == -1 and jacobi(p - c, p) == 1
+            and ext_pow(x, s2, ExtensionRing.general(p, b, c)).v == 0
+        ]
+        assert pairs, p
+        for b, c in pairs[:3]:
+            ph = PhaseCounters.fresh()
+            assert qft(p, QftParams(b, c), phases=ph, force_extension_steps=True).is_probable_prime
+            assert ph.squaring_steps == OpCounter(squarings=2 * steps, full_mults=steps, param_mults=2 * steps)
+            assert ph.multiply_steps == OpCounter(param_mults=2 * mults), (p, b, c)
 
 
 def test_phase_counters_split_and_total():

@@ -12,7 +12,6 @@ from frobprime.arith import TRIAL_DIVISION_BOUND, ceil_frac_pow, is_perfect_squa
 from frobprime.nonresidue import (
     DEFAULT_DELTA,
     DELTA_THRESHOLD,
-    NonresidueNotFound,
     SearchConfig,
     SearchOutcome,
     charsum_experiment,
@@ -207,9 +206,3 @@ def test_charsum_guards():
         charsum_experiment(15, 0.5)
     with pytest.raises(ValueError):
         charsum_experiment(10**15 + 1, 1)  # cutoff over the term limit
-
-
-def test_not_found_exception_reports_the_budget():
-    err = NonresidueNotFound(169, 3)
-    assert err.n == 169 and err.examined == 3
-    assert "169" in str(err)

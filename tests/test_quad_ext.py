@@ -23,9 +23,9 @@ from frobprime.quadext import (
 def _ext_pow_by_steps(e, exp, ring, counter=None, mult_counter=None, *, generic_squares=False):
     """The reference ladder: one booked ext_square / ext_mul / mul_by_x call per step.
 
-    ``generic_squares=True`` books every step at the contract cost: squares
-    by ext_square(generic=True), and a multiply step on a scalar accumulator
-    as the full product of two non-scalars, not ext_mul's scalar shortcut.
+    ``generic_squares=True`` books every step at the contract cost, whatever
+    the base: a step on a scalar accumulator books the square or product of
+    the non-scalar 1 + x, not ext_square's or ext_mul's scalar shortcut.
     """
     n = ring.n
     if exp == 0:
@@ -33,7 +33,7 @@ def _ext_pow_by_steps(e, exp, ring, counter=None, mult_counter=None, *, generic_
     u, v = e[0] % n, e[1] % n
     if mult_counter is None:
         mult_counter = counter
-    if v == 0:
+    if v == 0 and not generic_squares:
         r = u
         for bit in bin(exp)[3:]:
             r = r * r % n
@@ -45,14 +45,19 @@ def _ext_pow_by_steps(e, exp, ring, counter=None, mult_counter=None, *, generic_
                     mult_counter.full_mults += 1
         return QuadExtElement(r, 0)
     base = QuadExtElement(u, v)
+    one_x = QuadExtElement(1, 1)  # booking its square or product books one contract step
     acc = base
     for bit in bin(exp)[3:]:
-        acc = ext_square(acc, ring, counter, generic=generic_squares)
+        if generic_squares and acc.v == 0:
+            ext_square(one_x, ring, counter)
+            acc = ext_square(acc, ring)
+        else:
+            acc = ext_square(acc, ring, counter)
         if bit == "1":
             if base == (0, 1):
                 acc = mul_by_x(acc, ring, mult_counter)
             elif generic_squares and acc.v == 0:
-                ext_mul(base, base, ring, mult_counter)  # books one non-scalar product
+                ext_mul(one_x, one_x, ring, mult_counter)
                 acc = ext_mul(acc, base, ring)
             else:
                 acc = ext_mul(acc, base, ring, mult_counter)
@@ -124,7 +129,6 @@ def test_square_equals_self_multiplication():
         ring = _rand_ring(rng, n)
         a = _rand_elem(rng, n)
         assert ext_square(a, ring) == ext_mul(a, a, ring)
-        assert ext_square(a, ring, generic=True) == ext_square(a, ring)
 
 
 def test_products_match_the_schoolbook_formula_in_every_form():
@@ -261,12 +265,12 @@ def test_booking_scalar_fast_paths():
 def test_generic_square_books_full_cost_on_scalars():
     ring = ExtensionRing.general(101, 7, 9)
     counter = OpCounter()
-    value = ext_square(QuadExtElement(10, 0), ring, counter, generic=True)
+    value = ext_pow(QuadExtElement(10, 0), 2, ring, counter, generic_squares=True)
     assert value == (100 % 101, 0)
     assert (counter.squarings, counter.full_mults, counter.param_mults) == (2, 1, 2)
     pure = ExtensionRing.pure(101, 5)
     counter = OpCounter()
-    assert ext_square(QuadExtElement(10, 0), pure, counter, generic=True) == (100 % 101, 0)
+    assert ext_pow(QuadExtElement(10, 0), 2, pure, counter, generic_squares=True) == (100 % 101, 0)
     assert counter.full_mults == 3
 
 
@@ -583,16 +587,18 @@ def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
         monkeypatch.setattr(quadext, kernel, recorded)
     rng = random.Random(20261020)
     cases = list(_kernel_cases())
-    # both sides of each crossover, with accumulators that pass through a scalar
+    # both sides of each crossover, with accumulators that pass through a
+    # scalar, and scalar bases
     for bits in (8, 64, 126, 127, 128, 129, 200, 382, 383, 384, 385, 600):
         p = nextprime(rng.getrandbits(bits))
         for form in _PRODUCT_COST:
             ring = _field(rng, p, form)
             base = QuadExtElement(rng.randrange(p), rng.randrange(1, p))
+            scalar = QuadExtElement(rng.randrange(1, p), 0)
             cases += [(ring, base, (p + 1) << low | rng.getrandbits(low)) for low in (0, 3)]
-            cases += [(ring, z, rng.getrandbits(bits) | 1 << (bits - 1)) for z in (base, QuadExtElement(0, 1))]
+            cases += [(ring, z, rng.getrandbits(bits) | 1 << (bits - 1)) for z in (base, QuadExtElement(0, 1), scalar)]
     for ring, base, exp in cases:
-        if not exp or not base[1] % ring.n:
+        if not exp:
             continue
         steps, mults = exp.bit_length() - 1, bin(exp).count("1") - 1
         cost = _PRODUCT_COST[_form(ring)]
