@@ -31,6 +31,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .arith import modulus_value
+from .nonresidue import DELTA_THRESHOLD
 from .quadext import OpCounter
 
 __all__ = [
@@ -47,10 +48,11 @@ __all__ = [
     "summarize",
 ]
 
-#: 1/(3*sqrt(e)), the threshold above which the nonresidue search succeeds
-#: for every large enough odd nonsquare n (an asymptotic bound, not one for
-#: every n); the table prices small multiplications at this ratio.
-DELTA_STAR = 1.0 / (3.0 * math.sqrt(math.e))
+#: ``nonresidue.DELTA_THRESHOLD``, 1/(3*sqrt(e)): the nonresidue search
+#: succeeds above it for every large enough odd nonsquare n (an asymptotic
+#: bound, not one for every n); the table prices small multiplications at
+#: this ratio.
+DELTA_STAR = DELTA_THRESHOLD
 
 #: Representative multiplication-to-squaring ratios for the cost table.
 PRESET_MS = (2.0, 1.3, 1.0)
@@ -215,6 +217,8 @@ def measure_m(
         raise ValueError("bits must be at least 64")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if reps is not None and reps < 1:
+        raise ValueError("reps must be at least 1")
     if not 0 < delta <= 1:
         raise ValueError("delta must lie in (0, 1]")
     used_seed = seed if seed is not None else random.SystemRandom().getrandbits(64)

@@ -51,7 +51,7 @@ from .arith import (
     two_adic_split,
 )
 from . import nonresidue
-from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
+from .quadext import ExtensionRing, OpCounter, QuadExtElement, _pure_form, ext_pow, ext_square
 
 __all__ = [
     "RETRY_CAP",
@@ -669,14 +669,11 @@ def pure_form_of(n: int, params: QftParams) -> RqftParams:
     Completing the square sends x to y + b/2 with y^2 = (b^2 + 4c)/4, so
     the same element is z = 1*y + b/2 over the pure ring; the symbol
     conditions transfer exactly, and both tests compute the same
-    element powers, hence the same verdict.
+    element powers, hence the same verdict.  ``ext_pow`` runs every
+    general-form power through this map.
     """
-    n = modulus_value(n)
-    inv2 = (n + 1) // 2
-    inv4 = inv2 * inv2 % n
-    b2 = params.b * inv2 % n
-    c2 = (params.b * params.b + 4 * params.c) % n * inv4 % n
-    return RqftParams(1, b2, c2)
+    h, d = _pure_form(modulus_value(n), params.b, params.c)
+    return RqftParams(1, h, d)
 
 
 def _coprime_base(n: int, base: int) -> "tuple[int, Optional[Verdict]]":

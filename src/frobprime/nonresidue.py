@@ -189,6 +189,8 @@ def density_experiment(
     its symbol is never -1 and the density statement does not apply.
     """
     n = modulus_value(n)
+    if sample_size < 1:
+        raise ValueError("sample_size must be at least 1")
     if is_perfect_square(n):
         raise ValueError("n must not be a perfect square")
     d = as_fraction(delta) if delta is not None else DEFAULT_DELTA

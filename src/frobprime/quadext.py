@@ -31,17 +31,19 @@ the small-c flag and (without ``generic_squares``) the number of steps
 whose accumulator was scalar.  Its executed code differs: outside the
 dominant ladder a scalar base is the built-in ``pow``, and so is all but a
 few bits of the power of a unit base with a scalar power e^(2^a).  Every
-other power runs one kernel per ring form on local ints, reducing once per
-output coefficient (2 reductions per pure-form square with a small c, 3
-where v^2 must be reduced before a full-size b or c multiplies it).  The
-kernel is a left-to-right sliding window whose width comes from the form
-and the exponent's length: width 1 is the binary ladder, and the dominant
-ladder (``generic_squares``) slides windows of 4 to 7 bits from 128
-exponent bits on in the pure form and from 384 bits on in the general
-form, x included, for about bits/(k+1) multiply steps by precomputed odd
-powers instead of one per set bit.  The booked counts realize the
-per-operation cost model; the concrete bignum products and reductions
-differ, which never changes values.
+other power runs one kernel, in the pure form, on local ints, reducing
+once per output coefficient (2 reductions per square with a small c, 3
+where v^2 must be reduced before a full-size c multiplies it).  A
+general-form power reaches it by completing the square: x = y + b/2 maps
+Z[x]/(n, x^2 - b*x - c) onto Z[y]/(n, y^2 - (b^2/4 + c)), and the result
+is mapped back.  The kernel is a left-to-right sliding window whose width
+comes from the exponent's length: width 1 is the binary ladder, and the
+dominant ladder (``generic_squares``) slides windows of 4 to 7 bits from
+128 exponent bits on, in every form and for every base, x included, for
+about bits/(k+1) multiply steps by precomputed odd powers instead of one
+per set bit.  The booked counts realize the per-operation cost model of
+the caller's ring; the concrete bignum products and reductions differ,
+which never changes values.
 """
 
 from __future__ import annotations
@@ -327,19 +329,22 @@ def ext_pow(
 
     The executed code is not that ladder: the loops work on local ints,
     reduce once per output coefficient (the square of v is reduced first
-    only where a full-size b or c multiplies it), and every bucket is
-    booked once at the end.  Without ``generic_squares`` a scalar base is
-    the built-in ``pow``; with it a scalar runs its form's kernel.
+    only where a full-size c multiplies it), and every bucket is booked
+    once at the end.  Without ``generic_squares`` a scalar base is the
+    built-in ``pow``; with it a scalar runs the kernel.
 
-    Each ring form has one kernel, a left-to-right sliding window of width
-    k whose width-1 case is the binary ladder; the width comes from the form
-    and exp's bit length only.  ``generic_squares=True`` marks the dominant
-    ladder: from 128 exponent bits on in the pure form and from 384 bits on
-    in the general form, for every base, x and scalars included, it slides
-    windows of 4 to 7 bits, about bits/(k+1) multiply steps by precomputed
-    odd powers instead of one per set bit.  A window never forms the binary
-    ladder's prefix powers, which is why this booking tracks no scalar
-    accumulator.  Every other ladder has width 1.
+    One kernel, a left-to-right sliding window of width k whose width-1 case
+    is the binary ladder, runs every power in the pure form: a general-form
+    base u + v*x goes in as (u + h*v) + v*y, with x = y + h, h = b/2 and
+    y^2 = h^2 + c, and the power comes back the same way.  The map keeps v,
+    so a step meets a scalar in one ring exactly when it does in the other,
+    and the booking follows the caller's ring.  The width comes from exp's
+    bit length only.  ``generic_squares=True`` marks the dominant ladder:
+    from 128 exponent bits on, in every form and for every base, x and
+    scalars included, it slides windows of 4 to 7 bits, about bits/(k+1)
+    multiply steps by precomputed odd powers instead of one per set bit.  A
+    window never forms the binary ladder's prefix powers, which is why this
+    booking tracks no scalar accumulator.  Every other ladder has width 1.
 
     Otherwise the binary ladder counts the steps whose accumulator is
     scalar.  A base whose power e^(2^a) is a unit scalar s for a small a
@@ -366,28 +371,28 @@ def ext_pow(
         if mult_counter is not None:
             mult_counter.full_mults += mults
         return QuadExtElement(pow(u, exp, n), 0)
-    if ring.b is None:
-        kernel, params, min_steps = _pure_power, (ring.c, ring.small_c_bits is None), _WINDOW_MIN_STEPS
-    else:
-        kernel, params, min_steps = _general_power, (ring.b, ring.c), _GENERAL_WINDOW_MIN_STEPS
+    h, d = (0, ring.c) if ring.b is None else _pure_form(n, ring.b, ring.c)
+    yu, full_d = (u + h * v) % n, ring.small_c_bits is None
     scalar_squares = scalar_mults = 0
     if generic_squares:
-        k = _window_width(steps + 1) if steps >= min_steps else 1
-        acc = kernel(u, v, exp, n, *params, k)[0]
+        k = _window_width(steps + 1) if steps >= _WINDOW_MIN_STEPS else 1
+        acc = _pure_power(yu, v, exp, n, d, full_d, k)[0]
     else:
         split = _scalar_power(u, v, exp, ring)
         if split is None:
-            acc, scalar_squares, scalar_mults = kernel(u, v, exp, n, *params, 1)
+            acc, scalar_squares, scalar_mults = _pure_power(yu, v, exp, n, d, full_d, 1)
         else:
             a, s = split
             high = pow(s, exp >> a, n)
             low = exp & ((1 << a) - 1)
             if low:
-                lu, lv = kernel(u, v, low, n, *params, 1)[0]
+                lu, lv = _pure_power(yu, v, low, n, d, full_d, 1)[0]
                 acc = QuadExtElement(high * lu % n, high * lv % n)
             else:
                 acc = QuadExtElement(high, 0)
             scalar_squares, scalar_mults = _scalar_steps(exp, a)
+    if h:
+        acc = QuadExtElement((acc.u - h * acc.v) % n, acc.v)
     if counter is not None:
         counter.squarings += scalar_squares
         _book_op(ring, counter, steps - scalar_squares, square=True)
@@ -443,15 +448,29 @@ def _zero_windows(exp: int, width: int) -> int:
     return windows
 
 
+def _pure_form(n: int, b: int, c: int) -> "tuple[int, int]":
+    """(h, d) with x = y + h and y^2 = d, completing the square in x^2 - b*x - c mod n.
+
+    h = b/2 and d = h^2 + c = (b^2 + 4c)/4, both reduced; n is odd, so 2
+    has the inverse (n + 1)/2.  The map u + v*x -> (u + h*v) + v*y is a ring
+    isomorphism onto Z[y]/(n, y^2 - d) that fixes scalars and the
+    coefficient v.
+    """
+    h = b * ((n + 1) >> 1) % n
+    return h, (h * h + c) % n
+
+
 def _pure_power(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int):
     """u + v*x raised to exp in Z[x]/(n, x^2 - c) by left-to-right sliding
-    windows of width k, with exp >= 1 and v != 0.
+    windows of width k, with exp >= 1.
 
     Returns (power, squaring steps on a scalar, multiply steps on a scalar).
-    Width 1 is the binary ladder; for k in 4..7 the odd powers z, z^3, ...,
-    z^(2^k - 1) are precomputed, and each window multiplies by one of them
-    after its last squaring step (Menezes-van Oorschot-Vanstone, Handbook of
-    Applied Cryptography, Alg. 14.85).  The scalar counts mean something
+    This is the one power kernel: ``ext_pow`` reaches it from the general
+    form through ``_pure_form``, x = y + b/2.  Width 1 is the binary
+    ladder; for k in 4..7 the odd powers z, z^3, ..., z^(2^k - 1) are
+    precomputed, and each window multiplies by one of them after its last
+    squaring step (Menezes-van Oorschot-Vanstone, Handbook of Applied
+    Cryptography, Alg. 14.85).  The scalar counts mean something
     at width 1 only, where the accumulator runs through every prefix power
     of the binary ladder.  A square is u^2 + c*v^2 and
     ((u + v)^2 - u^2 - v^2)*x, each reduced once; a full-size c gets v^2
@@ -491,58 +510,11 @@ def _pure_power(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int):
     return QuadExtElement(u, v), scalar_squares, scalar_mults
 
 
-def _general_power(u: int, v: int, exp: int, n: int, b: int, c: int, k: int):
-    """u + v*x raised to exp in Z[x]/(n, x^2 - b*x - c), as ``_pure_power``.
-
-    A square is u^2 + c*v^2 and 2uv + b*v^2 with 2uv = (u + v)^2 - u^2 - v^2;
-    v^2 is reduced before the products by b and c.  Each odd power
-    z = zu + zv*x is stored with the ring's parameters folded in, as
-    (zu, c*zv, zv, zu + b*zv) mod n, so a product by it is u*zu + v*(c*zv)
-    and (u*zv + v*(zu + b*zv))*x: 4 products and 2 reductions.  For x that
-    entry is (0, c, 1, b), the two parameter products of ``mul_by_x``.
-    """
-    table = [None, (u, c * v % n, v, (u + b * v) % n)]
-    if k > 1:
-        _, zc, _, zb = table[1]
-        su, sv = (u * u + v * zc) % n, (u * v + v * zb) % n
-        sc, sb = c * sv % n, (su + b * sv) % n
-        for _ in range((1 << (k - 1)) - 1):
-            u, v = (u * su + v * sc) % n, (u * sv + v * sb) % n
-            table.append((u, c * v % n, v, (u + b * v) % n))
-    first, schedule = _schedule(exp, k)
-    u, _, v, _ = table[first]
-    scalar_squares = scalar_mults = 0
-    for i in schedule:
-        if not v:
-            scalar_squares += 1
-        uu = u * u
-        vv = v * v
-        t = u + v
-        t = t * t - uu - vv
-        vv %= n
-        u = (uu + c * vv) % n
-        v = (t + b * vv) % n
-        if i:
-            if not v:
-                scalar_mults += 1
-            zu, zc, zv, zb = table[i]
-            u, v = (u * zu + v * zc) % n, (u * zv + v * zb) % n
-    return QuadExtElement(u, v), scalar_squares, scalar_mults
-
-
-#: Squaring steps from which the dominant pure-form ladder slides windows.
+#: Squaring steps from which the dominant ladder slides windows, in every form.
 #: Below it the binary ladder is as fast: timed interleaved with CPython 3.11
 #: on a 2-core x86-64 machine, windows ran about 5% slower at 96-bit
 #: exponents and about 5% faster at 128 bits.
 _WINDOW_MIN_STEPS = 127
-
-#: Squaring steps from which the dominant general-form ladder slides windows.
-#: Timed the same way, window over binary for x (the qft ladder) at (n+1)/2:
-#: about 1.0 at 256-bit exponents, 0.95-1.0 at 384, 0.92-0.95 at 512, 0.90
-#: at 768 and 0.87-0.92 at 1024 and 2048.  A general base other than x gains
-#: from 128 bits on (0.87 there, 0.80 at 512, 0.74 at 2048), but no test
-#: method's ladder has one.
-_GENERAL_WINDOW_MIN_STEPS = 383
 
 #: Per width k, the windows of a binary string: a 1, or up to k bits
 #: from a 1 to a 1 (the greedy match is the longest).

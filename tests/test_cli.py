@@ -344,3 +344,5 @@ def test_help_and_bad_usage_exit_codes(capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "test", "15", "--method", "bogus")[0] == 2
     assert run(capsys, "test", "15", "--rounds", "0")[0] == 2
+    assert run(capsys, "bench", "--bits", "64", "--trials", "1", "--reps", "0")[0] == 2
+    assert run(capsys, "density", "--n", "1000000007", "--delta", "0.9", "--sample-size", "0", "--seed", "1")[0] == 2

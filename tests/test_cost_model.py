@@ -15,12 +15,14 @@ from frobprime.cost_model import (
     render_cost_table,
     summarize,
 )
+from frobprime.nonresidue import DELTA_THRESHOLD
 from frobprime.quadext import OpCounter
 
 
 def test_delta_star_value():
     assert DELTA_STAR == pytest.approx(1 / (3 * math.sqrt(math.e)), abs=1e-15)
     assert DELTA_STAR == pytest.approx(0.2021768866, abs=1e-9)
+    assert DELTA_STAR == DELTA_THRESHOLD
 
 
 def test_per_op_costs_at_reference_ratios():
@@ -136,3 +138,6 @@ def test_measure_m_validation():
         measure_m(64, 0)
     with pytest.raises(ValueError):
         measure_m(64, 1, delta=0)
+    for reps in (0, -3):
+        with pytest.raises(ValueError, match="reps"):
+            measure_m(64, 1, reps=reps)

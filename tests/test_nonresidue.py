@@ -135,6 +135,11 @@ def test_density_rejects_squares_and_bad_exponents():
         density_experiment(15, "1")
     with pytest.raises(TypeError):
         density_experiment(15, 0.3)
+    # an empty sample, in the sampled and in the exhaustive mode
+    for n, delta in ((1000000007, "0.9"), (15, "0.3")):
+        for sample_size in (0, -1):
+            with pytest.raises(ValueError, match="sample_size"):
+                density_experiment(n, delta, seed=1, sample_size=sample_size)
 
 
 def test_density_exhaustive_example():

@@ -401,6 +401,14 @@ def _kernel_cases():
         base = QuadExtElement(0, 1) if i % 2 else QuadExtElement(rng.randrange(p), rng.randrange(1, p))
         low = rng.randrange(4)
         yield ring, base, (p + 1) << low | rng.getrandbits(low)
+    # General rings at the edges of the map x = y + b/2: b = 0 makes it the
+    # identity, and x^2 - 6x + 9 = (x - 3)^2 maps to y^2 = 0, where x - 3 = y
+    # squares to 0.
+    n = 1000000007
+    for ring in (ExtensionRing.general(n, 0, 5), ExtensionRing.general(n, 6, -9)):
+        for base in ((0, 1), (n - 3, 1), (rng.randrange(n), rng.randrange(1, n)), (rng.randrange(1, n), 0)):
+            for bits in (1, 2, 3, 64, 129, 400):
+                yield ring, QuadExtElement(*base), rng.getrandbits(bits) | 1 << (bits - 1)
     yield ExtensionRing.pure(101, 5), QuadExtElement(3, 4), 0
     yield from _split_cases()
 
@@ -497,10 +505,14 @@ def _window_exponents(rng, bits, k):
 
 
 def _power(base, exp, ring, k):
-    """The power kernel of ring's form at width k: (base^exp, scalar squares, scalar products)."""
+    """The power kernel at width k, reached from the general form through
+    x = y + b/2: (base^exp, scalar squares, scalar products)."""
+    n = ring.n
     if ring.b is None:
-        return quadext._pure_power(*base, exp, ring.n, ring.c, ring.small_c_bits is None, k)
-    return quadext._general_power(*base, exp, ring.n, ring.b, ring.c, k)
+        return quadext._pure_power(*base, exp, n, ring.c, ring.small_c_bits is None, k)
+    h, d = quadext._pure_form(n, ring.b, ring.c)
+    (u, v), squares, mults = quadext._pure_power((base.u + h * base.v) % n, base.v, exp, n, d, True, k)
+    return QuadExtElement((u - h * v) % n, v), squares, mults
 
 
 def _scalar_steps_by_steps(base, exp, ring):
@@ -576,18 +588,18 @@ def _form(ring):
 
 
 def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
-    windows = {"_pure_power": [], "_general_power": []}
-    for kernel, calls in windows.items():
+    windows, case = [], {}
+    kernel = quadext._pure_power
 
-        def recorded(*args, kernel=getattr(quadext, kernel), calls=calls):
-            if args[-1] > 1:
-                calls.append((args[:2] == (0, 1), args[2].bit_length()))
-            return kernel(*args)
+    def recorded(*args):
+        if args[-1] > 1:
+            windows.append((case["form"], case["is_x"], args[2].bit_length()))
+        return kernel(*args)
 
-        monkeypatch.setattr(quadext, kernel, recorded)
+    monkeypatch.setattr(quadext, "_pure_power", recorded)
     rng = random.Random(20261020)
     cases = list(_kernel_cases())
-    # both sides of each crossover, with accumulators that pass through a
+    # both sides of the crossover, with accumulators that pass through a
     # scalar, and scalar bases
     for bits in (8, 64, 126, 127, 128, 129, 200, 382, 383, 384, 385, 600):
         p = nextprime(rng.getrandbits(bits))
@@ -600,6 +612,7 @@ def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
     for ring, base, exp in cases:
         if not exp:
             continue
+        case.update(form=_form(ring), is_x=base == (0, 1))
         steps, mults = exp.bit_length() - 1, bin(exp).count("1") - 1
         cost = _PRODUCT_COST[_form(ring)]
         by = "by_x" if base == (0, 1) else "product"
@@ -619,10 +632,8 @@ def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
             for counter, expected in zip(got, want):
                 tally = [counter.squarings, counter.full_mults, counter.small_mults, counter.param_mults]
                 assert tally == expected, (ring, base, exp, counters)
-    # windows ran from 128 bits on in the pure form and from 384 bits on in
-    # the general form, for x as for other bases
-    for kernel, crossover in (("_pure_power", 128), ("_general_power", 384)):
-        calls = windows[kernel]
+    # windows ran from 128 bits on in every form, for x as for other bases
+    for form in _PRODUCT_COST:
         for is_x in (False, True):
-            assert min(bits for x, bits in calls if x == is_x) == crossover, (kernel, is_x)
-        assert max(bits for _, bits in calls) > 400
+            assert min(bits for f, x, bits in windows if (f, x) == (form, is_x)) == 128, (form, is_x)
+        assert max(bits for f, _, bits in windows if f == form) > 400
