@@ -51,7 +51,8 @@ from .arith import (
     two_adic_split,
 )
 from . import nonresidue
-from .quadext import ExtensionRing, OpCounter, QuadExtElement, _pure_form, ext_pow, ext_square
+from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
+from .quadext import _pure_form, _pure_power, _window_width
 
 __all__ = [
     "RETRY_CAP",
@@ -725,40 +726,29 @@ def strong_test(n: int, base: int, counter: Optional[OpCounter] = None) -> Verdi
 
 def lucas_uv(P: int, Q: int, k: int, n: int, counter: Optional[OpCounter] = None) -> "tuple[int, int]":
     """(U_k, V_k) mod n for the sequences U_0=0, U_1=1, V_0=2, V_1=P,
-    W_j = P*W_(j-1) - Q*W_(j-2), by left-to-right binary doubling.
+    W_j = P*W_(j-1) - Q*W_(j-2), as a power of x in Z[x]/(n, x^2 - P*x + Q).
 
-    Doubling: U_2j = U_j*V_j, V_2j = V_j^2 - 2*Q^j.  Stepping: U_(j+1) =
-    (P*U_j + V_j)/2, V_(j+1) = (D*U_j + P*V_j)/2 with D = P^2 - 4Q; n is odd,
-    so a reduced value t halves exactly as t/2 or (t + n)/2, with no product.
-    The counter books 1 full multiplication and 2 squarings per doubling and
-    6 full multiplications per stepping (the halvings are booked as
-    products by the inverse of 2), computed once from k's bit length and
-    popcount.
+    Completing the square, x = y + P/2 with y^2 = D/4 and D = P^2 - 4Q, so
+    x^k = (P/2 + y)^k = V_k/2 + U_k*y (Crandall-Pomerance, Prime Numbers,
+    3.6.1) for every odd n, D = 0 included.  The power runs on the
+    extension-power kernel at the dominant ladder's window width.  The
+    counter books the contract of the binary doubling ladder this replaced
+    (U_2j = U_j*V_j, V_2j = V_j^2 - 2*Q^j; one stepping per set bit), not
+    what runs: 1 full multiplication and 2 squarings per doubling and 6 full
+    multiplications per stepping, from k's bit length and popcount.
     """
     n = modulus_value(n)
     if k < 1:
         if k == 0:
             return 0, 2 % n
         raise ValueError("lucas_uv requires k >= 0")
-    P %= n
-    Q %= n
-    D = (P * P - 4 * Q) % n
-    U, V, Qk = 1, P, Q
-    for bit in bin(k)[3:]:
-        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
-        if bit == "1":
-            U, V, Qk = (P * U + V) % n, (D * U + P * V) % n, Qk * Q % n
-            if U & 1:
-                U += n
-            if V & 1:
-                V += n
-            U >>= 1
-            V >>= 1
+    h, d = _pure_form(n, P, -Q)
+    (u, U), _, _ = _pure_power(h, 1, k, n, d, True, _window_width(k.bit_length()))
     if counter is not None:
         steps = k.bit_length() - 1
         counter.full_mults += steps + 6 * (k.bit_count() - 1)
         counter.squarings += 2 * steps
-    return U, V
+    return U, 2 * u % n
 
 
 def lucas_test(n: int, P: int, Q: int, counter: Optional[OpCounter] = None) -> Verdict:

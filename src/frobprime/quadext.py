@@ -37,11 +37,12 @@ where v^2 must be reduced before a full-size c multiplies it).  A
 general-form power reaches it by completing the square: x = y + b/2 maps
 Z[x]/(n, x^2 - b*x - c) onto Z[y]/(n, y^2 - (b^2/4 + c)), and the result
 is mapped back.  The kernel is a left-to-right sliding window whose width
-comes from the exponent's length: width 1 is the binary ladder, and the
-dominant ladder (``generic_squares``) slides windows of 4 to 7 bits from
-128 exponent bits on, in every form and for every base, x included, for
-about bits/(k+1) multiply steps by precomputed odd powers instead of one
-per set bit.  The booked counts realize the per-operation cost model of
+comes from the exponent's length (``_window_width``): width 1 is the
+binary ladder, and the dominant ladder (``generic_squares``), like
+``frobenius.lucas_uv``, slides windows of 4 to 7 bits from 128 exponent
+bits on, in every form and for every base, x included, for about
+bits/(k+1) multiply steps by precomputed odd powers instead of one per
+set bit.  The booked counts realize the per-operation cost model of
 the caller's ring; the concrete bignum products and reductions differ,
 which never changes values.
 """
@@ -149,6 +150,8 @@ class ExtensionRing:
     b: Optional[int]
     c: int
     small_c_bits: Optional[int] = None
+    #: (h, d) with x = y + h and y^2 = d (see ``_pure_form``); (0, c) in the pure form.
+    _completed: "tuple[int, int]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = modulus_value(self.n)
@@ -158,6 +161,8 @@ class ExtensionRing:
             raise ValueError("b must be reduced into [0, n)")
         if self.small_c_bits is not None and self.b is not None:
             raise ValueError("small_c_bits applies to the pure form only")
+        completed = (0, self.c) if self.b is None else _pure_form(n, self.b, self.c)
+        object.__setattr__(self, "_completed", completed)
 
     @classmethod
     def general(cls, n: int, b: int, c: int) -> "ExtensionRing":
@@ -371,12 +376,11 @@ def ext_pow(
         if mult_counter is not None:
             mult_counter.full_mults += mults
         return QuadExtElement(pow(u, exp, n), 0)
-    h, d = (0, ring.c) if ring.b is None else _pure_form(n, ring.b, ring.c)
+    h, d = ring._completed
     yu, full_d = (u + h * v) % n, ring.small_c_bits is None
     scalar_squares = scalar_mults = 0
     if generic_squares:
-        k = _window_width(steps + 1) if steps >= _WINDOW_MIN_STEPS else 1
-        acc = _pure_power(yu, v, exp, n, d, full_d, k)[0]
+        acc = _pure_power(yu, v, exp, n, d, full_d, _window_width(steps + 1))[0]
     else:
         split = _scalar_power(u, v, exp, ring)
         if split is None:
@@ -465,14 +469,14 @@ def _pure_power(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int):
     windows of width k, with exp >= 1.
 
     Returns (power, squaring steps on a scalar, multiply steps on a scalar).
-    This is the one power kernel: ``ext_pow`` reaches it from the general
-    form through ``_pure_form``, x = y + b/2.  Width 1 is the binary
-    ladder; for k in 4..7 the odd powers z, z^3, ..., z^(2^k - 1) are
-    precomputed, and each window multiplies by one of them after its last
-    squaring step (Menezes-van Oorschot-Vanstone, Handbook of Applied
-    Cryptography, Alg. 14.85).  The scalar counts mean something
-    at width 1 only, where the accumulator runs through every prefix power
-    of the binary ladder.  A square is u^2 + c*v^2 and
+    This is the one power kernel: ``ext_pow`` and ``frobenius.lucas_uv``
+    reach it from the general form through ``_pure_form``, x = y + b/2.
+    Width 1 is the binary ladder; for k in 4..7 the odd powers z, z^3, ...,
+    z^(2^k - 1) are precomputed, and each window multiplies by one of them
+    after its last squaring step (Menezes-van Oorschot-Vanstone, Handbook of
+    Applied Cryptography, Alg. 14.85).  The scalar counts mean something at
+    width 1 only, where the accumulator runs through every prefix power of
+    the binary ladder.  A square is u^2 + c*v^2 and
     ((u + v)^2 - u^2 - v^2)*x, each reduced once; a full-size c gets v^2
     reduced first.  A product by an odd power zu + zv*x, stored as
     (zu, zv, zu + zv), uses the same Karatsuba cross term.
@@ -510,7 +514,7 @@ def _pure_power(u: int, v: int, exp: int, n: int, c: int, full_c: bool, k: int):
     return QuadExtElement(u, v), scalar_squares, scalar_mults
 
 
-#: Squaring steps from which the dominant ladder slides windows, in every form.
+#: Squaring steps from which ``_window_width`` slides windows, in every form.
 #: Below it the binary ladder is as fast: timed interleaved with CPython 3.11
 #: on a 2-core x86-64 machine, windows ran about 5% slower at 96-bit
 #: exponents and about 5% faster at 128 bits.
@@ -525,8 +529,12 @@ _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def _window_width(bits: int) -> int:
-    """The k in 4..7 with the fewest products: 2^(k-1) table entries plus
-    about bits/(k+1) multiply steps (4 at 128 bits, 5 at 256, 7 at 2048)."""
+    """The dominant ladder's width for an exponent of ``bits`` bits: 1 below
+    _WINDOW_MIN_STEPS + 1 bits, else the k in 4..7 with the fewest products,
+    2^(k-1) table entries plus about bits/(k+1) multiply steps (4 at 128
+    bits, 5 at 256, 7 at 2048).  ``ext_pow`` and ``lucas_uv`` both use it."""
+    if bits <= _WINDOW_MIN_STEPS:
+        return 1
     return min(_WINDOWS, key=lambda k: (1 << (k - 1)) + bits / (k + 1))
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import factorint, isprime, nextprime, prevprime
+from sympy.ntheory.primetest import is_lucas_prp
 
-from frobprime import frobenius, nonresidue
+from frobprime import frobenius, nonresidue, quadext
 from frobprime.arith import TRIAL_DIVISION_BOUND, jacobi, primes_up_to, two_adic_split
 from frobprime.cli import main
 from frobprime.frobenius import (
@@ -978,15 +979,79 @@ def _lucas_uv_by_inverse(P, Q, k, n, counter=None):
     return U, V
 
 
-def test_lucas_uv_matches_the_inverse_of_two_ladder():
-    rng = random.Random(20261018)
+def _lucas_cases(rng):
+    """(P, Q, k, n): random, then 2048-bit n with k = n -+ 1, k around the
+    window crossover, and the degenerate P = 0 mod n and P^2 = 4Q mod n."""
     for i in range(400):
         n = max(3, rng.getrandbits(rng.randrange(2, 600)) | 1) if i % 4 else rng.randrange(3, 100) | 1
         P, Q = rng.randrange(-n, 2 * n), rng.randrange(-n, 2 * n)
-        k = i if i < 4 else rng.getrandbits(rng.choice((1, 2, 8, 64, 400)))
+        yield P, Q, i if i < 4 else rng.getrandbits(rng.choice((1, 2, 8, 64, 400))), n
+    n = rng.getrandbits(2048) | 1 << 2047 | 1
+    for k in (n - 1, n + 1):
+        yield rng.randrange(n), rng.randrange(n), k, n
+    for bits in (126, 127, 128, 129):
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        for k in (1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1):
+            P, Q = rng.randrange(n), rng.randrange(n)
+            yield from ((P, Q, k, n), (n * rng.randrange(-2, 3), Q, k, n), (2 * P, P * P + n * 4, k, n))
+
+
+def test_lucas_uv_matches_the_inverse_of_two_ladder():
+    rng = random.Random(20261018)
+    for P, Q, k, n in _lucas_cases(rng):
         got, want = OpCounter(), OpCounter()
         assert lucas_uv(P, Q, k, n, got) == _lucas_uv_by_inverse(P, Q, k, n, want), (P, Q, k, n)
         assert got.as_dict() == want.as_dict()
+
+
+def test_lucas_uv_and_ext_pow_share_the_window_crossover(monkeypatch):
+    widths, kernel = {"lucas_uv": [], "ext_pow": []}, quadext._pure_power
+
+    def recorder(caller):
+        def recorded(*args):
+            widths[caller].append((args[2].bit_length(), args[-1]))
+            return kernel(*args)
+
+        return recorded
+
+    monkeypatch.setattr(quadext, "_pure_power", recorder("ext_pow"))
+    monkeypatch.setattr(frobenius, "_pure_power", recorder("lucas_uv"))
+    rng = random.Random(20261019)
+    for bits in (126, 127, 128, 129):
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        k = rng.getrandbits(bits) | 1 << (bits - 1)
+        lucas_uv(rng.randrange(n), rng.randrange(n), k, n)
+        ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(n))
+        ext_pow(QuadExtElement(0, 1), k, ring, generic_squares=True)
+    assert widths["lucas_uv"] == widths["ext_pow"] == [(126, 1), (127, 1), (128, 4), (129, 4)]
+
+
+def test_lucas_test_matches_sympy_selfridge_oracle():
+    def selfridge(n):
+        """Selfridge's D and Q, or None where the search meets a D sharing a
+        factor with n (the oracle's search decides those n by itself)."""
+        D = 5
+        while (j := jacobi(D, n)) != -1:
+            if j == 0:
+                return None
+            D = -D - 2 if D > 0 else -D + 2
+        return D, (1 - D) // 4
+
+    disagree, pseudoprimes, compared = [], [], 0
+    for n in range(5, 10**5, 2):
+        if math.isqrt(n) ** 2 == n or (params := selfridge(n)) is None:
+            continue
+        D, Q = params
+        if math.gcd(n, Q * D) != 1:
+            continue
+        compared += 1
+        verdict = lucas_test(n, 1, Q).is_probable_prime
+        if verdict != is_lucas_prp(n):
+            disagree.append(n)
+        if verdict and not isprime(n):
+            pseudoprimes.append(n)
+    assert disagree == [] and compared > 30000
+    assert pseudoprimes[:3] == [323, 377, 1159] and len(pseudoprimes) > 50
 
 
 def test_lucas_fixtures():
