@@ -22,11 +22,18 @@ tested; the exit status is the worst one seen.
 
 Every randomized subcommand accepts ``--seed`` and echoes the seed it used,
 so any run can be reproduced byte for byte.
+
+``main(argv)`` may be called repeatedly in one process: it builds its
+parser on the first call and reuses it, and each call's output and exit
+status are those of a fresh process.  ``set_defaults(func=...)`` binds the
+``cmd_*`` functions at that first build, so replacing ``cli.cmd_*`` after
+the first call has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -60,10 +67,13 @@ EXIT_COMPOSITE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
+# same bytes as json.dumps(report, sort_keys=True), without a new encoder per record
+_JSON = json.JSONEncoder(sort_keys=True)
+
 
 def _emit(report: dict, output: str) -> None:
     if output == "json":
-        print(json.dumps(report, sort_keys=True))
+        print(_JSON.encode(report))
     else:
         parts = []
         for key, value in report.items():
@@ -193,7 +203,12 @@ def cmd_cost_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``frobprime`` parser, built on the first call and shared after it.
+
+    ``main`` parses with this same object, so callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="frobprime",
         description="Quadratic Frobenius primality testing and its cost model.",

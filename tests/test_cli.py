@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, output formats, exit codes."""
 
+import argparse
 import io
 import json
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from frobprime import frobenius, nonresidue
+from frobprime import cli, frobenius, nonresidue
 from frobprime.cli import main
 from frobprime.nonresidue import SearchOutcome
 
@@ -346,3 +347,33 @@ def test_help_and_bad_usage_exit_codes(capsys):
     assert run(capsys, "test", "15", "--rounds", "0")[0] == 2
     assert run(capsys, "bench", "--bits", "64", "--trials", "1", "--reps", "0")[0] == 2
     assert run(capsys, "density", "--n", "1000000007", "--delta", "0.9", "--sample-size", "0", "--seed", "1")[0] == 2
+
+
+def test_repeated_calls_share_one_parser_and_carry_no_state(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "frobprime":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    batch = "15\nseven\n1000003\n2500000033\n"
+    argv = ("test", "--stdin", "--method", "rqft-smallc", "--rounds", "2", "--seed", "4", "--output", "json")
+
+    def run_batch():
+        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+        return run(capsys, *argv)
+
+    first_batch = run_batch()
+    assert first_batch[0] == 2 and len(first_batch[1].splitlines()) == 3
+    table = run(capsys, "cost-table", "--m", "2", "--m", "1.3")
+    assert table[0] == 0
+    assert run(capsys, "test", "7", "--method", "nope")[0] == 2
+    assert run(capsys, "test", "--help")[0] == 0
+    # --m appends: a list kept from the last call would add rows
+    assert run(capsys, "cost-table", "--m", "2", "--m", "1.3") == table
+    assert run_batch() == first_batch
+    assert len(built) == 1
