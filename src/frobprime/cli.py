@@ -22,18 +22,11 @@ tested; the exit status is the worst one seen.
 
 Every randomized subcommand accepts ``--seed`` and echoes the seed it used,
 so any run can be reproduced byte for byte.
-
-``main(argv)`` may be called repeatedly in one process: it builds its
-parser on the first call and reuses it, and each call's output and exit
-status are those of a fresh process.  ``set_defaults(func=...)`` binds the
-``cmd_*`` functions at that first build, so replacing ``cli.cmd_*`` after
-the first call has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -203,63 +196,94 @@ def cmd_cost_table(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``frobprime`` parser, built on the first call and shared after it.
+def _test_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", nargs="?", type=int, default=None, help="the number to test")
+    p.add_argument("--stdin", action="store_true", help="read numbers from stdin, one per line")
+    p.add_argument("--method", choices=_METHODS, default="qft")
+    p.add_argument("--rounds", type=int, default=1, help="independent parameter draws per n")
+    p.add_argument("--seed", type=int, default=None, help="seed for parameter sampling")
+    p.add_argument("--base", type=int, default=None, help="fixed base for fermat/strong")
+    p.add_argument("--delta", default=None, help="search exponent for rqft-smallc (exact, e.g. 0.2025)")
+    p.add_argument("--output", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_test)
 
-    ``main`` parses with this same object, so callers must not modify it.
-    """
+
+def _find_c_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("n", type=int)
+    p.add_argument("--delta", default=None, help="search exponent (exact, e.g. 0.2025)")
+    p.add_argument("--output", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_find_c)
+
+
+def _density_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--delta", default=None, help="window exponent (exact, e.g. 0.2025)")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--sample-size", type=int, default=100_000)
+    p.add_argument("--output", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_density)
+
+
+def _charsum_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--gamma", required=True, help="cutoff exponent in (0, 1] (exact, e.g. 1/2)")
+    p.add_argument("--output", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_charsum)
+
+
+def _bench_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bits", type=int, default=2048)
+    p.add_argument("--trials", type=int, default=9)
+    p.add_argument("--reps", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--output", choices=("plain", "json"), default="plain")
+    p.set_defaults(func=cmd_bench)
+
+
+def _cost_table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--m", action="append", type=float, default=None, help="append one m value (repeatable)")
+    p.add_argument("--delta", type=float, default=DELTA_STAR, help="small-operand size ratio")
+    p.set_defaults(func=cmd_cost_table)
+
+
+#: subcommand -> (help line, function adding its arguments), in help order
+_COMMANDS = {
+    "test": ("test one n (or many, with --stdin) for primality", _test_arguments),
+    "find-c": ("search for the least nonresidue below ceil(n^delta)", _find_c_arguments),
+    "density": ("measure the density of symbols != +1 below ceil(n^delta)", _density_arguments),
+    "charsum": ("sum jacobi(k, n) for k below floor(n^gamma)", _charsum_arguments),
+    "bench": ("time modular products to estimate m on this machine", _bench_arguments),
+    "cost-table": ("print per-iteration costs for representative m", _cost_table_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frobprime",
         description="Quadratic Frobenius primality testing and its cost model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_test = sub.add_parser("test", help="test one n (or many, with --stdin) for primality")
-    p_test.add_argument("n", nargs="?", type=int, default=None, help="the number to test")
-    p_test.add_argument("--stdin", action="store_true", help="read numbers from stdin, one per line")
-    p_test.add_argument("--method", choices=_METHODS, default="qft")
-    p_test.add_argument("--rounds", type=int, default=1, help="independent parameter draws per n")
-    p_test.add_argument("--seed", type=int, default=None, help="seed for parameter sampling")
-    p_test.add_argument("--base", type=int, default=None, help="fixed base for fermat/strong")
-    p_test.add_argument("--delta", default=None, help="search exponent for rqft-smallc (exact, e.g. 0.2025)")
-    p_test.add_argument("--output", choices=("plain", "json"), default="plain")
-    p_test.set_defaults(func=cmd_test)
-
-    p_findc = sub.add_parser("find-c", help="search for the least nonresidue below ceil(n^delta)")
-    p_findc.add_argument("n", type=int)
-    p_findc.add_argument("--delta", default=None, help="search exponent (exact, e.g. 0.2025)")
-    p_findc.add_argument("--output", choices=("plain", "json"), default="plain")
-    p_findc.set_defaults(func=cmd_find_c)
-
-    p_density = sub.add_parser("density", help="measure the density of symbols != +1 below ceil(n^delta)")
-    p_density.add_argument("--n", type=int, required=True)
-    p_density.add_argument("--delta", default=None, help="window exponent (exact, e.g. 0.2025)")
-    p_density.add_argument("--seed", type=int, default=None)
-    p_density.add_argument("--sample-size", type=int, default=100_000)
-    p_density.add_argument("--output", choices=("plain", "json"), default="plain")
-    p_density.set_defaults(func=cmd_density)
-
-    p_charsum = sub.add_parser("charsum", help="sum jacobi(k, n) for k below floor(n^gamma)")
-    p_charsum.add_argument("--n", type=int, required=True)
-    p_charsum.add_argument("--gamma", required=True, help="cutoff exponent in (0, 1] (exact, e.g. 1/2)")
-    p_charsum.add_argument("--output", choices=("plain", "json"), default="plain")
-    p_charsum.set_defaults(func=cmd_charsum)
-
-    p_bench = sub.add_parser("bench", help="time modular products to estimate m on this machine")
-    p_bench.add_argument("--bits", type=int, default=2048)
-    p_bench.add_argument("--trials", type=int, default=9)
-    p_bench.add_argument("--reps", type=int, default=None)
-    p_bench.add_argument("--seed", type=int, default=None)
-    p_bench.add_argument("--output", choices=("plain", "json"), default="plain")
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_table = sub.add_parser("cost-table", help="print per-iteration costs for representative m")
-    p_table.add_argument("--m", action="append", type=float, default=None, help="append one m value (repeatable)")
-    p_table.add_argument("--delta", type=float, default=DELTA_STAR, help="small-operand size ratio")
-    p_table.set_defaults(func=cmd_cost_table)
-
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser()`` does, building less when it can.
+
+    When ``argv`` starts with a subcommand name, the full parser hands all
+    of ``argv[1:]`` to that subcommand's parser and only adds an error for
+    leftover arguments; so that parser alone, as ``add_parser`` would make
+    it, parses the call, with the same help and errors.  Any other ``argv``,
+    or leftover arguments, go to the full parser.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"frobprime {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -276,9 +300,8 @@ def main(argv=None) -> int:
 
 
 def _main(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:

@@ -349,31 +349,41 @@ def test_help_and_bad_usage_exit_codes(capsys):
     assert run(capsys, "density", "--n", "1000000007", "--delta", "0.9", "--sample-size", "0", "--seed", "1")[0] == 2
 
 
-def test_repeated_calls_share_one_parser_and_carry_no_state(capsys, monkeypatch):
+def test_a_command_first_argv_builds_one_parser_and_reads_as_the_full_one(capsys, monkeypatch):
+    def full_parser_run(*argv):
+        try:
+            args = cli.build_parser().parse_args(list(argv))
+        except SystemExit as exc:
+            code = 0 if exc.code in (0, None) else 2
+        else:
+            code = args.func(args)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    batch = "15\nseven\n1000003\n2500000033\n"
+    argvs = [
+        ("test", "--help"),
+        ("test", "7", "--method", "nope"),
+        ("test", "15", "--bogus"),  # leftovers: the full parser's usage line
+        ("test", "15", "extra"),
+        ("test", "--stdin", "--method", "rqft-smallc", "--rounds", "2", "--seed", "4", "--output", "json"),
+        ("find-c", "119", "--output", "json"),
+        ("density",),
+        ("cost-table", "--m", "2", "--m", "1.3"),
+    ]
+    for argv in argvs:
+        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+        expected = full_parser_run(*argv)
+        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+        assert run(capsys, *argv) == expected, argv
+
     built = []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
-        if kwargs.get("prog") == "frobprime":
-            built.append(self)
+        built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
-    batch = "15\nseven\n1000003\n2500000033\n"
-    argv = ("test", "--stdin", "--method", "rqft-smallc", "--rounds", "2", "--seed", "4", "--output", "json")
-
-    def run_batch():
-        monkeypatch.setattr("sys.stdin", io.StringIO(batch))
-        return run(capsys, *argv)
-
-    first_batch = run_batch()
-    assert first_batch[0] == 2 and len(first_batch[1].splitlines()) == 3
-    table = run(capsys, "cost-table", "--m", "2", "--m", "1.3")
-    assert table[0] == 0
-    assert run(capsys, "test", "7", "--method", "nope")[0] == 2
-    assert run(capsys, "test", "--help")[0] == 0
-    # --m appends: a list kept from the last call would add rows
-    assert run(capsys, "cost-table", "--m", "2", "--m", "1.3") == table
-    assert run_batch() == first_batch
-    assert len(built) == 1
+    assert run(capsys, "test", "1000003", "--seed", "1")[0] == 0
+    assert built == ["frobprime test"]
