@@ -1,10 +1,14 @@
 """Exact integer primitives.
 
 Jacobi symbols, integer square/k-th roots, exact rational powers, 2-adic
-decompositions, trial division (a short loop over the primes up to
-sqrt(B), then one gcd with the product of the other sieve primes), and
-modular exponentiation by the built-in ``pow``, booked as the binary
-ladder.  Every result is exact integer arithmetic; fractional exponents
+decompositions, trial division, and modular exponentiation by the
+built-in ``pow``, booked as the binary ladder.  Trial division takes one
+gcd with the product of the primes up to sqrt(B) and one with the product
+R of the other sieve primes up to the bound: below B that is a prefix
+product from a cached product tree, and at B the residues R % n of a
+whole batch come from remainder trees (Borodin-Moenck 1974; Bernstein,
+"Scaled remainder trees", 2004), one per chunk of about an eighth of R's
+bits.  Every result is exact integer arithmetic; fractional exponents
 are taken as `Fraction`s and evaluated by integer root extraction.  A
 float estimate only picks the starting point of the root's Newton
 iteration; the iteration and its final check are exact, so boundary cases
@@ -59,28 +63,95 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
 
 
 # Computed once at import time and treated as read-only afterwards, so
-# concurrent readers never observe partial initialization.  The product of
-# the primes above sqrt(B) is built on first use instead (see _rest_product):
-# a thread that races another to build it computes the same int, and the
+# concurrent readers never observe partial initialization.  The product tree
+# of the primes above sqrt(B) is built on first use instead (see _rest_tree):
+# a thread that races another to build it computes the same levels, and the
 # cache only ever hands out a finished value.
 SMALL_PRIMES = primes_up_to(TRIAL_DIVISION_BOUND)
-# trial_divide loops over the primes <= isqrt(B) = 223 (48 of them) and
-# takes one gcd for the rest: 227**2 > B, so a gcd <= B is a single prime.
+# trial_divide tries the primes <= isqrt(B) = 223 (48 of them) first, and
+# the rest with one gcd: 227**2 > B, so a gcd <= B is a single prime.
 _HEAD_PRIMES = SMALL_PRIMES[: bisect_right(SMALL_PRIMES, isqrt(TRIAL_DIVISION_BOUND))]
 _REST_PRIMES = SMALL_PRIMES[len(_HEAD_PRIMES) :]
+_HEAD_PRODUCT = math.prod(_HEAD_PRIMES)  # 288 bits
+
+#: R % n for the n of the last batch given to ``_load_batch_residues``.  Each
+#: value is a pure function of its key, and a new batch rebinds the name to a
+#: new dict rather than editing this one, so a reader in any thread sees
+#: either table and finds a right residue or none.
+_residues: dict = {}
+
+
+def _product_tree(leaves: list) -> "list[list[int]]":
+    """Levels of pairwise products: leaves first, the single root last.
+
+    Node i of a level is the product of nodes 2i and 2i + 1 of the level
+    below (or of node 2i alone, at the end of an odd level), so big factors
+    meet big factors rather than one growing product times each leaf.
+    """
+    levels = [list(leaves)]
+    while len(levels[-1]) > 1:
+        below = levels[-1]
+        levels.append([math.prod(below[i : i + 2]) for i in range(0, len(below), 2)])
+    return levels
 
 
 @functools.cache
-def _rest_product() -> int:
-    """The product of the primes in (isqrt(B), B], about 71.5k bits.
+def _rest_tree() -> "list[list[int]]":
+    """The product tree of the primes in (isqrt(B), B]; its root R has about 71.5k bits."""
+    return _product_tree(_REST_PRIMES)
 
-    Multiplied pairwise, level by level, so that big factors meet big
-    factors (a few ms) rather than one growing product times each prime.
+
+@functools.lru_cache(maxsize=64)
+def _rest_prefix_product(k: int) -> int:
+    """The product of the first k primes in (isqrt(B), B], 0 < k < 5085.
+
+    The binary digits of k pick the tree nodes that tile the prefix: an odd
+    count at some level leaves its last node out of every pair above.
     """
-    level = list(_REST_PRIMES)
-    while len(level) > 1:
-        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-    return level[0]
+    product = 1
+    for level in _rest_tree():
+        if k & 1:
+            product *= level[k - 1]
+        k >>= 1
+    return product
+
+
+def _remainders(r: int, moduli: list) -> "list[int]":
+    """r % m for each m in moduli: r reduced once at the root of their
+    product tree, then down the tree (Borodin-Moenck 1974)."""
+    rems = [r]
+    for level in reversed(_product_tree(moduli)):
+        rems = [rems[i >> 1] % m for i, m in enumerate(level)]
+    return rems
+
+
+def _load_batch_residues(ns: list) -> None:
+    """Replace the residue table with R % n for the n of this batch that need one.
+
+    Those are the n > B^2 with no prime factor <= isqrt(B): ``trial_divide``
+    takes exactly them to the gcd with R.  A batch of one n, or with one such
+    n, leaves the table empty, since a tree of one leaf is R % n itself; a
+    single n pays nothing here.  Longer batches go in chunks whose product
+    has about an eighth of R's bits, one remainder tree each: past that the
+    top division and the product tree cost more than they save.
+    """
+    global _residues
+    table = {}
+    wanted = []
+    if len(ns) > 1:
+        wanted = [n for n in dict.fromkeys(ns) if n > TRIAL_DIVISION_BOUND**2 and gcd(n, _HEAD_PRODUCT) == 1]
+    if len(wanted) > 1:
+        r = _rest_tree()[-1][0]
+        cap = r.bit_length() >> 3
+        chunk, bits = [], 0
+        for n in wanted:
+            chunk.append(n)
+            bits += n.bit_length()
+            if bits >= cap:
+                table.update(zip(chunk, _remainders(r, chunk)))
+                chunk, bits = [], 0
+        table.update(zip(chunk, _remainders(r, chunk)))
+    _residues = table
 
 
 def modulus_value(n: int) -> int:
@@ -241,22 +312,37 @@ def trial_divide(n: int, bound: int) -> Optional[int]:
     """Smallest prime divisor of n that is <= bound, or None.
 
     bound must not exceed TRIAL_DIVISION_BOUND (the cached sieve's limit).
-    The primes <= isqrt(B) are tried one by one; they catch most composites
-    in a few steps.  The rest are tried at once: g = gcd(R, n), with R the
-    product of the primes in (isqrt(B), B], is the product of those that
-    divide n.  Two of them multiply to more than B, so a g <= B is a single
-    prime; a larger g is searched for its smallest prime.
+    g = gcd(n, H), with H the product of the primes <= isqrt(B), is 1 for
+    most n that pass; otherwise those primes are tried on g one by one.
+    The primes in (isqrt(B), bound] are then tried at once: g = gcd(R, n),
+    with R their product, is the product of those that divide n.  Two of
+    them multiply to more than B, so a g <= B is a single prime; a larger
+    g is searched for its smallest prime.
+
+    For bound < B (every n <= B^2 that the screen sees), R is the product
+    of the primes up to bound only, composed from a cached product tree of
+    the primes in (isqrt(B), B].  For bound >= B, R % n is taken from the
+    table of the last ``_load_batch_residues`` batch when n is in it, and
+    computed otherwise; the table's chunked remainder trees never cost
+    more per n than that division.
     """
     if bound > TRIAL_DIVISION_BOUND:
         raise ValueError(f"trial division bound is capped at {TRIAL_DIVISION_BOUND}")
-    for p in _HEAD_PRIMES:
-        if p > bound:
-            return None
-        if n % p == 0:
-            return p
-    if bound < _REST_PRIMES[0]:
+    g = gcd(n, _HEAD_PRODUCT)
+    if g > 1:
+        for p in _HEAD_PRIMES:
+            if p > bound:
+                return None
+            if g % p == 0:
+                return p
+    k = bisect_right(_REST_PRIMES, bound)
+    if k == 0:
         return None
-    g = gcd(_rest_product() % n, n)
+    if k < len(_REST_PRIMES):
+        g = gcd(_rest_prefix_product(k) % n, n)
+    else:
+        r = _residues.get(n)
+        g = gcd(_rest_tree()[-1][0] % n if r is None else r, n)
     if g == 1:
         return None
     if g <= TRIAL_DIVISION_BOUND:

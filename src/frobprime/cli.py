@@ -15,7 +15,10 @@ strong, lucas) draw and test once per round.  ``run_rounds`` decides
 n = 2 as probable prime with no rounds, and an exhausted small-c search
 falls back to rqft's drawn nonresidue.  A bad ``--delta`` for
 rqft-smallc, and a ``--delta`` or ``--base`` that the method does not
-take, are rejected before the first n.  With ``--stdin``, a bad line, a
+take, are rejected before the first n.  Before it, the extension methods
+hand every valid n to ``arith._load_batch_residues``, so the screen's
+residues come from one remainder tree per chunk of the batch rather than
+one long division per n.  With ``--stdin``, a bad line, a
 ``--base`` that is a multiple of that n, or an exhausted sampler is
 reported as ``error: line K: ...`` and the rest of the batch is still
 tested; the exit status is the worst one seen.
@@ -32,7 +35,7 @@ import random
 import sys
 from typing import Optional
 
-from .arith import as_fraction
+from .arith import _load_batch_residues, as_fraction
 from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
 # initial_screen, qft, rqft, rqft_with_small_c, strong_test, lucas_test and
 # the three samplers are not called here; benchmarks/tracing.py wraps them
@@ -50,6 +53,7 @@ from .frobenius import (  # noqa: F401
     sample_nonresidue,
     strong_test,
     _METHODS,
+    _SCREENED_METHODS,
     _check_options,
 )
 from .nonresidue import SearchConfig, charsum_experiment, density_experiment, find_small_nonresidue
@@ -117,15 +121,26 @@ def cmd_test(args) -> int:
         ]
     else:
         entries = [("", args.n)]
+    parsed = []
+    for where, token in entries:
+        try:
+            parsed.append((where, _valid_n(token)))
+        except ValueError as exc:
+            parsed.append((where, exc))
+    if args.method in _SCREENED_METHODS:
+        # R % n for the whole batch at once; trial_divide looks each n up
+        _load_batch_residues([n for _, n in parsed if isinstance(n, int)])
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
     rng = random.Random(seed)
     worst = EXIT_PROBABLE_PRIME
-    for where, token in entries:
+    for where, n in parsed:
         # a bad entry, or a --base that is a multiple of it, is reported and
         # skipped; it draws nothing from rng.  An exhausted sampler is
         # reported too, after its draws.
         try:
-            report, code = _test_one(_valid_n(token), args, rng, seed)
+            if isinstance(n, ValueError):
+                raise n
+            report, code = _test_one(n, args, rng, seed)
         except ValueError as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_USAGE)

@@ -85,6 +85,8 @@ RETRY_CAP = 64
 
 #: The methods run_rounds decides: the three extension tests, then the baselines.
 _METHODS = ("qft", "rqft", "rqft-smallc", "fermat", "strong", "lucas")
+#: The methods that screen n (steps 1-2 and the B^2 shortcut) before any round.
+_SCREENED_METHODS = _METHODS[:3]
 
 
 class CompositeReason(str, Enum):
@@ -617,7 +619,7 @@ def _decide(n, method, rng, rounds, counter, delta, base, phases=None, force_ext
         return Verdict.probable_prime(), 0, None, None
     n = modulus_value(n)
     outcome = small_c = None
-    if method in ("qft", "rqft", "rqft-smallc"):
+    if method in _SCREENED_METHODS:
         verdict = _screen(n, force_extension_steps)
         if verdict is not None:
             return verdict, 0, None, None

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from frobprime import cli, frobenius, nonresidue
+from frobprime import arith, cli, frobenius, nonresidue
 from frobprime.cli import main
 from frobprime.nonresidue import SearchOutcome
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_test_stdin.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden_test_stdin.json").read_text())
+GOLDEN_SCAN = json.loads((DATA / "golden_scan_stdin.json").read_text())
 
 
 def run(capsys, *argv):
@@ -53,6 +55,15 @@ def test_two_is_probable_prime(capsys):
     code, out, _ = run(capsys, "test", "2")
     assert code == 0
     assert "verdict=probable-prime" in out
+
+
+def test_a_small_n_builds_no_sieve_product(capsys):
+    # the start-up probe of the benchmark: 101 needs no prime above 223
+    arith._rest_tree.cache_clear()
+    arith._rest_prefix_product.cache_clear()
+    assert run(capsys, "test", "101")[0] == 0
+    assert arith._rest_tree.cache_info().currsize == 0
+    assert arith._rest_prefix_product.cache_info().currsize == 0
 
 
 def test_missing_and_conflicting_inputs(capsys):
@@ -131,6 +142,26 @@ def test_stdin_reports_each_bad_line_and_tests_the_rest(capsys, monkeypatch):
         assert (clean_code, clean_err) == (1, "")  # 341 is composite
         assert out == clean_out
         assert [json.loads(line)["n"] for line in out.splitlines()] == [int(n) for n in good]
+    # bad lines between 64-bit n that share one remainder tree: the batch
+    # step skips them, and 1009 * p is still found by the tree's residue
+    good = ["9223372036855775839", "18176528096067482287", "18446744073708551551"]
+    batch = f"{good[0]}\nabc\n{good[1]} 18446744073709551614\n-5\n{good[2]}\n"
+    argv = ("test", "--stdin", "--method", "qft", "--seed", "11", "--rounds", "2", "--output", "json")
+    monkeypatch.setattr("sys.stdin", io.StringIO(batch))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.splitlines() == [
+        "error: line 2: invalid literal for int() with base 10: 'abc'",
+        "error: line 3: n must be odd (or exactly 2); got 18446744073709551614",
+        "error: line 4: n must be at least 2; got -5",
+    ]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(good) + "\n"))
+    assert run(capsys, *argv) == (1, out, "")
+    assert [(r["n"], r["verdict"], r["factor"]) for r in map(json.loads, out.splitlines())] == [
+        (int(good[0]), "probable-prime", None),
+        (int(good[1]), "composite", 1009),
+        (int(good[2]), "probable-prime", None),
+    ]
 
 
 def test_a_bad_delta_is_rejected_before_the_first_line(capsys, monkeypatch):
@@ -175,17 +206,22 @@ def test_a_base_that_is_a_multiple_of_one_line_is_reported_for_that_line(capsys,
         )
 
 
-@pytest.mark.parametrize("run_key", sorted(GOLDEN["runs"]))
-def test_stdin_batch_matches_the_golden_output(capsys, monkeypatch, run_key):
+@pytest.mark.parametrize("golden, run_key", [
+    *(pytest.param(GOLDEN, key, id=key) for key in sorted(GOLDEN["runs"])),
+    *(pytest.param(GOLDEN_SCAN, key, id=f"scan/{key}") for key in sorted(GOLDEN_SCAN["runs"])),
+])
+def test_stdin_batch_matches_the_golden_output(capsys, monkeypatch, golden, run_key):
     # expected output recorded before each n was decided in one pass; the
     # batch mixes primes = 1 and 3 mod 4 at 64 and 256 bits, a prime below
     # B^2, Chernick Carmichael numbers, a step-3 semiprime, small-factor
-    # composites and 2
+    # composites and 2.  The scan batch was recorded before a batch shared
+    # one remainder tree: 256 consecutive odd 64-bit n, products of sieve
+    # primes above 223 with a 64-bit prime, a repeated n, a 2048-bit prime.
     method, output = run_key.split("/")
-    expected = GOLDEN["runs"][run_key]
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(GOLDEN["batch"]) + "\n"))
-    code, out, err = run(capsys, "test", "--stdin", "--method", method, "--rounds", str(GOLDEN["rounds"]),
-                         "--seed", str(GOLDEN["seed"]), "--output", output)
+    expected = golden["runs"][run_key]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(golden["batch"]) + "\n"))
+    code, out, err = run(capsys, "test", "--stdin", "--method", method, "--rounds", str(golden["rounds"]),
+                         "--seed", str(golden["seed"]), "--output", output)
     assert (code, err) == (expected["exit"], "")
     assert out.splitlines() == expected["stdout"]
 

@@ -318,6 +318,92 @@ def test_trial_divide_matches_a_sympy_prime_scan(n, bound):
     assert trial_divide(n, bound) == expected
 
 
+def test_rest_prefix_products_are_the_products_of_the_first_k_primes_above_223():
+    for k in (1, 2, 3, 4, 5, 7, 8, 9, 120, 1023, 1024, 1025, 2600, len(_REST_PRIMES) - 1):
+        assert arith._rest_prefix_product(k) == math.prod(_REST_PRIMES[:k]), k
+    assert arith._rest_tree()[-1] == [math.prod(_REST_PRIMES)]
+
+
+_REST_PRODUCT = math.prod(_REST_PRIMES)
+
+
+def _needs_residue(n):
+    """The n that trial_divide takes to the gcd with the full product: n > B^2, no prime <= 223."""
+    return n > TRIAL_DIVISION_BOUND**2 and math.gcd(n, math.prod(_HEAD_PRIMES)) == 1
+
+
+def _residue_batch(rng, size, bits):
+    """``size`` distinct n that need a residue, mixed with n that do not and a repeat."""
+    wanted = set()
+    while len(wanted) < size:
+        n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if _needs_residue(n):
+            wanted.add(n)
+    wanted = sorted(wanted)
+    if rng.getrandbits(1):
+        p = rng.choice(_REST_PRIMES)
+        wanted[0] = p * (wanted[0] // p | 1)  # a sieve factor above 223 for the tree to find
+    others = [wanted[0], 227 * 229, 1000003, 3 * wanted[-1], 223 * wanted[-1]]
+    batch = wanted + others
+    rng.shuffle(batch)
+    return batch, {n for n in wanted if _needs_residue(n)}
+
+
+def test_batch_residues_are_the_rest_product_mod_each_n(monkeypatch):
+    monkeypatch.setattr(arith, "_residues", {})
+    rng = random.Random(20261019)
+    longer = (1 << (_REST_PRODUCT.bit_length() + 100)) + 1  # R % n == R
+    while not _needs_residue(longer):
+        longer += 2
+    for size in (1, 2, 3, 255, 256, 257):
+        for bits in (64, 256, 2048, 4096):
+            batch, wanted = _residue_batch(rng, size, bits)
+            if bits == 4096:
+                batch.append(longer)
+                wanted.add(longer)
+            arith._load_batch_residues(batch)
+            table = arith._residues
+            # a batch with one such n keeps no table: trial_divide computes R % n
+            assert set(table) == (wanted if len(wanted) > 1 else set()), (size, bits)
+            for n, r in table.items():
+                assert r == _REST_PRODUCT % n, (size, bits, n)
+
+
+def test_trial_divide_matches_the_plain_loop_with_and_without_a_batch_table(monkeypatch):
+    monkeypatch.setattr(arith, "_residues", {})
+    rng = random.Random(227)
+    cofactor = nextprime(2**64)
+    batch = [math.prod(rng.sample(_REST_PRIMES, rng.randint(1, 3))) * cofactor for _ in range(40)]
+    batch += [nextprime(rng.getrandbits(64)) for _ in range(40)] + [15 * cofactor, 227 * 229, 49999]
+    bounds = (226, 227, 1000, 49998, TRIAL_DIVISION_BOUND)
+    expected = {(n, b): _trial_divide_by_loop(n, b) for n in batch for b in bounds}
+    assert {(n, b): trial_divide(n, b) for n in batch for b in bounds} == expected
+    arith._load_batch_residues(batch)
+    assert len(arith._residues) == 80
+    assert {(n, b): trial_divide(n, b) for n in batch for b in bounds} == expected
+    # the table is what trial_divide reads: a planted residue of 1 hides 227
+    n = 227 * cofactor
+    monkeypatch.setattr(arith, "_residues", {n: 1})
+    assert trial_divide(n, TRIAL_DIVISION_BOUND) is None
+    assert trial_divide(n, 49998) == 227  # below B the prefix products answer
+
+
+def test_the_next_batch_replaces_the_residue_table(monkeypatch):
+    monkeypatch.setattr(arith, "_residues", {})
+    rng = random.Random(5)
+    first, wanted_first = _residue_batch(rng, 8, 64)
+    second, wanted_second = _residue_batch(rng, 8, 256)
+    arith._load_batch_residues(first)
+    assert set(arith._residues) == wanted_first
+    arith._load_batch_residues(second)
+    assert set(arith._residues) == wanted_second
+    arith._load_batch_residues([2, 101, 1000003])  # nothing above B^2
+    assert arith._residues == {}
+    arith._load_batch_residues(first)
+    arith._load_batch_residues([max(wanted_second)])  # one n: trial_divide computes R % n
+    assert arith._residues == {}
+
+
 def test_mod_pow_matches_builtin_pow():
     rng = random.Random(5)
     for n in range(3, 2000, 2):
