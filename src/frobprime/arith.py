@@ -103,13 +103,17 @@ def _rest_tree() -> "list[list[int]]":
 
 @functools.lru_cache(maxsize=64)
 def _rest_prefix_product(k: int) -> int:
-    """The product of the first k primes in (isqrt(B), B], 0 < k < 5085.
+    """The product of the first k primes in (isqrt(B), B], 0 < k <= 5085.
 
-    The binary digits of k pick the tree nodes that tile the prefix: an odd
-    count at some level leaves its last node out of every pair above.
+    All 5085 of them is the tree's root.  Otherwise the binary digits of k
+    pick the tree nodes that tile the prefix: an odd count at some level
+    leaves its last node out of every pair above.
     """
+    tree = _rest_tree()
+    if k == len(_REST_PRIMES):
+        return tree[-1][0]
     product = 1
-    for level in _rest_tree():
+    for level in tree:
         if k & 1:
             product *= level[k - 1]
         k >>= 1
@@ -129,17 +133,15 @@ def _load_batch_residues(ns: list) -> None:
     """Replace the residue table with R % n for the n of this batch that need one.
 
     Those are the n > B^2 with no prime factor <= isqrt(B): ``trial_divide``
-    takes exactly them to the gcd with R.  A batch of one n, or with one such
-    n, leaves the table empty, since a tree of one leaf is R % n itself; a
-    single n pays nothing here.  Longer batches go in chunks whose product
-    has about an eighth of R's bits, one remainder tree each: past that the
-    top division and the product tree cost more than they save.
+    takes exactly them to the gcd with R.  A batch with one such n leaves
+    the table empty, since a tree of one leaf is R % n itself.  Longer
+    batches go in chunks whose product has about an eighth of R's bits, one
+    remainder tree each: past that the top division and the product tree
+    cost more than they save.
     """
     global _residues
     table = {}
-    wanted = []
-    if len(ns) > 1:
-        wanted = [n for n in dict.fromkeys(ns) if n > TRIAL_DIVISION_BOUND**2 and gcd(n, _HEAD_PRODUCT) == 1]
+    wanted = [n for n in dict.fromkeys(ns) if n > TRIAL_DIVISION_BOUND**2 and gcd(n, _HEAD_PRODUCT) == 1]
     if len(wanted) > 1:
         r = _rest_tree()[-1][0]
         cap = r.bit_length() >> 3
@@ -319,12 +321,12 @@ def trial_divide(n: int, bound: int) -> Optional[int]:
     them multiply to more than B, so a g <= B is a single prime; a larger
     g is searched for its smallest prime.
 
-    For bound < B (every n <= B^2 that the screen sees), R is the product
-    of the primes up to bound only, composed from a cached product tree of
-    the primes in (isqrt(B), B].  For bound >= B, R % n is taken from the
-    table of the last ``_load_batch_residues`` batch when n is in it, and
-    computed otherwise; the table's chunked remainder trees never cost
-    more per n than that division.
+    R is a prefix product from a cached product tree of the primes in
+    (isqrt(B), B], and for bound < B (every n <= B^2 that the screen sees)
+    it holds the primes up to bound only.  For bound >= B, R % n comes from
+    the table of the last ``_load_batch_residues`` batch when n is in it;
+    its chunked remainder trees never cost more per n than the division
+    ``_rest_prefix_product(k) % n`` that answers otherwise.
     """
     if bound > TRIAL_DIVISION_BOUND:
         raise ValueError(f"trial division bound is capped at {TRIAL_DIVISION_BOUND}")
@@ -338,11 +340,8 @@ def trial_divide(n: int, bound: int) -> Optional[int]:
     k = bisect_right(_REST_PRIMES, bound)
     if k == 0:
         return None
-    if k < len(_REST_PRIMES):
-        g = gcd(_rest_prefix_product(k) % n, n)
-    else:
-        r = _residues.get(n)
-        g = gcd(_rest_tree()[-1][0] % n if r is None else r, n)
+    r = _residues.get(n) if k == len(_REST_PRIMES) else None
+    g = gcd(_rest_prefix_product(k) % n if r is None else r, n)
     if g == 1:
         return None
     if g <= TRIAL_DIVISION_BOUND:

@@ -213,7 +213,7 @@ def cmd_cost_table(args) -> int:
 
 def _test_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", nargs="?", type=int, default=None, help="the number to test")
-    p.add_argument("--stdin", action="store_true", help="read numbers from stdin, one per line")
+    p.add_argument("--stdin", action="store_true", help="read numbers from stdin, separated by whitespace; errors name the line")
     p.add_argument("--method", choices=_METHODS, default="qft")
     p.add_argument("--rounds", type=int, default=1, help="independent parameter draws per n")
     p.add_argument("--seed", type=int, default=None, help="seed for parameter sampling")

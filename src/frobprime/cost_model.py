@@ -201,15 +201,14 @@ def measure_m(
     bits: int,
     trials: int,
     *,
-    delta: float = DELTA_STAR,
     seed: Optional[int] = None,
     reps: Optional[int] = None,
 ) -> MeasuredCosts:
     """Estimate m on this machine by timing modular products at ``bits`` bits.
 
-    Times x*x % n, x*y % n and x*s % n (s of ceil(bits*delta) bits) over
-    random operands; each of ``trials`` rounds runs ``reps`` products and
-    the median round is reported.  Interpreter overhead affects all three
+    Times x*x % n, x*y % n and x*s % n (s of ceil(bits*DELTA_STAR) bits)
+    over random operands; each of ``trials`` rounds runs ``reps`` products
+    and the median round is reported.  Interpreter overhead affects all three
     loops equally, so the ratios are meaningful even when each product is
     cheap.
     """
@@ -219,13 +218,11 @@ def measure_m(
         raise ValueError("trials must be at least 1")
     if reps is not None and reps < 1:
         raise ValueError("reps must be at least 1")
-    if not 0 < delta <= 1:
-        raise ValueError("delta must lie in (0, 1]")
     used_seed = seed if seed is not None else random.SystemRandom().getrandbits(64)
     rng = random.Random(used_seed)
     if reps is None:
         reps = max(500, 2_000_000 // bits)
-    small_bits = max(2, math.ceil(bits * delta))
+    small_bits = max(2, math.ceil(bits * DELTA_STAR))
 
     def full_width(width: int) -> int:
         return rng.getrandbits(width) | (1 << (width - 1)) | 1
@@ -250,7 +247,7 @@ def measure_m(
         trials=trials,
         reps=reps,
         seed=used_seed,
-        delta=delta,
+        delta=DELTA_STAR,
         square_ns=statistics.median(sq_times),
         full_mult_ns=statistics.median(fm_times),
         small_mult_ns=statistics.median(sm_times),

@@ -140,6 +140,12 @@ def find_small_nonresidue(n: int, config: Optional[SearchConfig] = None, *, delt
     return SearchOutcome(c=None, factor=None, examined=examined)
 
 
+#: ``density_experiment`` enumerates windows up to this size and samples larger ones.
+_ENUMERATION_LIMIT = 10**6
+#: The most terms ``charsum_experiment`` sums.
+_MAX_TERMS = 10**7
+
+
 @dataclass(frozen=True)
 class DensityReport:
     """Counts of Jacobi symbols over the candidate window [2, ceil(n^delta)]."""
@@ -178,12 +184,11 @@ def density_experiment(
     *,
     seed: Optional[int] = None,
     sample_size: int = 100_000,
-    enumeration_limit: int = 10**6,
 ) -> DensityReport:
     """Measure how often jacobi(c, n) != +1 for c in [2, ceil(n^delta)].
 
     The window is enumerated exhaustively when it has at most
-    ``enumeration_limit`` candidates, otherwise ``sample_size`` candidates
+    ``_ENUMERATION_LIMIT`` candidates, otherwise ``sample_size`` candidates
     are drawn uniformly with the seeded generator.  Perfect squares stay in
     the window here (the point is the raw density).  Square n is rejected:
     its symbol is never -1 and the density statement does not apply.
@@ -201,7 +206,7 @@ def density_experiment(
     if total <= 0:
         raise ValueError("window is empty; increase delta")
     minus_one = zero = 0
-    if total <= enumeration_limit:
+    if total <= _ENUMERATION_LIMIT:
         mode = "exhaustive"
         examined = total
         used_seed = None
@@ -258,7 +263,7 @@ class CharSumReport:
         }
 
 
-def charsum_experiment(n: int, gamma, *, max_terms: int = 10**7) -> CharSumReport:
+def charsum_experiment(n: int, gamma) -> CharSumReport:
     """Sum jacobi(k, n) for k in [1, floor(n^gamma)) and report the total.
 
     gamma = 1 sums one step short of a full period; for odd nonsquare n
@@ -270,8 +275,8 @@ def charsum_experiment(n: int, gamma, *, max_terms: int = 10**7) -> CharSumRepor
     if not 0 < g <= 1:
         raise ValueError("gamma must lie in (0, 1]")
     cutoff = floor_frac_pow(n, g)
-    if cutoff > max_terms:
-        raise ValueError(f"cutoff {cutoff} exceeds max_terms={max_terms}; lower gamma")
+    if cutoff > _MAX_TERMS:
+        raise ValueError(f"cutoff {cutoff} exceeds max_terms={_MAX_TERMS}; lower gamma")
     total = 0
     for k in range(1, cutoff):
         total += jacobi(k, n)

@@ -4,31 +4,20 @@ Two ring forms are supported: the general form Z[x]/(n, x^2 - b*x - c) and
 the pure form Z[x]/(n, x^2 - c).  Elements are pairs (u, v) representing
 u + v*x with coefficients held fully reduced in [0, n).
 
-Operation counting follows the cost conventions used by the cost model:
-
-* General form, squaring: computed as u^2, v^2, (u+v)^2 (the last standing
-  in for the generic product 2uv = (u+v)^2 - u^2 - v^2) and booked as
-  2 squarings + 1 full multiplication.  The additional products by the
-  ring's fixed parameters b and c are tallied in a separate ``param_mults``
-  bucket so cost summaries can include or exclude them explicitly.
-* Pure form: each non-scalar multiplication or squaring is booked as
-  3 full multiplications when c is a general residue, or as 2 full
-  multiplications + 1 small multiplication when c is a designated small
-  nonresidue (the small multiplication is weighted by
-  bits(c)/bits(n) in cost summaries).
-* Scalar fast paths: squaring a scalar (v == 0) books exactly 1 squaring;
-  a scalar times a full element books 2 full multiplications; a scalar
-  times a scalar books 1.  The dominant ladder, whose per-step cost is
-  contractual (``ext_pow``'s ``generic_squares=True``), skips the scalar
-  shortcuts and books every step, squaring and multiply steps alike, at
-  the full formula's cost, whatever the base.
+What one step books is a row of ``_STEP_COSTS``, the cost table of the
+cost model: per ring form, the counts of a non-scalar square, a non-scalar
+product and an x-step, plus the rows of the scalar shortcuts.  Every
+booking adds copies of one row through ``_book``.  The dominant ladder,
+whose per-step cost is contractual (``ext_pow``'s ``generic_squares=True``),
+skips the scalar shortcuts and books every step at its form's non-scalar
+rows, whatever the base.
 
 ``ext_square``, ``ext_mul`` and ``mul_by_x`` book each call as it runs;
 like ``ext_pow``'s loops, they reduce once per output coefficient.
 ``ext_pow`` books what the plain binary ladder of those calls would book,
-computed once from the exponent's bit length and popcount, the ring form,
-the small-c flag and (without ``generic_squares``) the number of steps
-whose accumulator was scalar.  Its executed code differs: outside the
+computed once from the exponent's bit length and popcount, the ring's
+rows and (without ``generic_squares``) the number of steps whose
+accumulator was scalar.  Its executed code differs: outside the
 dominant ladder a scalar base is the built-in ``pow``, and so is all but a
 few bits of the power of a unit base with a scalar power e^(2^a).  Every
 other power runs one kernel, in the pure form, on local ints, reducing
@@ -96,14 +85,6 @@ class OpCounter:
     param_mults: int = 0
     small_bits_ratio: float = field(default=0.0, compare=False)
 
-    def record_small(self, ratio: float, count: int = 1) -> None:
-        """Book ``count`` small multiplications with the given operand-size ratio."""
-        if count <= 0:
-            return
-        self.small_mults += count
-        if ratio > self.small_bits_ratio:
-            self.small_bits_ratio = ratio
-
     def copy(self) -> "OpCounter":
         return OpCounter(
             self.squarings,
@@ -137,6 +118,30 @@ class OpCounter:
         }
 
 
+class _StepCosts(NamedTuple):
+    """One ring form's rows of ``_STEP_COSTS``."""
+
+    square: tuple
+    product: tuple
+    x_step: tuple
+
+
+#: The booked cost of one step, as (squarings, full_mults, small_mults,
+#: param_mults), per ring form: a non-scalar square, a product of two
+#: non-scalars, and an x-step (``mul_by_x``).  Priced by ``summarize``, the
+#: squares are the cost model's 2 + m, 3m and (2 + delta) m.
+_STEP_COSTS = {
+    "general": _StepCosts((2, 1, 0, 2), (0, 3, 0, 2), (0, 0, 0, 2)),
+    "pure": _StepCosts((0, 3, 0, 0), (0, 3, 0, 0), (0, 1, 0, 0)),
+    "pure-smallc": _StepCosts((0, 2, 1, 0), (0, 2, 1, 0), (0, 0, 1, 0)),
+}
+#: The scalar shortcuts, in every form: a scalar's square, a scalar times a
+#: scalar, and a scalar times a non-scalar.
+_SCALAR_SQUARE = (1, 0, 0, 0)
+_SCALAR_PRODUCT = (0, 1, 0, 0)
+_SCALAR_TIMES_ELEMENT = (0, 2, 0, 0)
+
+
 @dataclass(frozen=True)
 class ExtensionRing:
     """A quadratic extension ring mod n.
@@ -150,8 +155,12 @@ class ExtensionRing:
     b: Optional[int]
     c: int
     small_c_bits: Optional[int] = None
+    #: bits(c)/bits(n) when c is designated small, else None.
+    small_ratio: Optional[float] = field(init=False, repr=False, compare=False)
     #: (h, d) with x = y + h and y^2 = d (see ``_pure_form``); (0, c) in the pure form.
     _completed: "tuple[int, int]" = field(init=False, repr=False, compare=False)
+    #: This form's rows of ``_STEP_COSTS``.
+    _steps: _StepCosts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = modulus_value(self.n)
@@ -161,8 +170,14 @@ class ExtensionRing:
             raise ValueError("b must be reduced into [0, n)")
         if self.small_c_bits is not None and self.b is not None:
             raise ValueError("small_c_bits applies to the pure form only")
-        completed = (0, self.c) if self.b is None else _pure_form(n, self.b, self.c)
+        if self.b is not None:
+            completed, form = _pure_form(n, self.b, self.c), "general"
+        else:
+            completed, form = (0, self.c), "pure" if self.small_c_bits is None else "pure-smallc"
+        ratio = None if self.small_c_bits is None else self.small_c_bits / n.bit_length()
+        object.__setattr__(self, "small_ratio", ratio)
         object.__setattr__(self, "_completed", completed)
+        object.__setattr__(self, "_steps", _STEP_COSTS[form])
 
     @classmethod
     def general(cls, n: int, b: int, c: int) -> "ExtensionRing":
@@ -181,13 +196,6 @@ class ExtensionRing:
     def bits(self) -> int:
         return self.n.bit_length()
 
-    @property
-    def small_ratio(self) -> Optional[float]:
-        """bits(c)/bits(n) when c is designated small, else None."""
-        if self.small_c_bits is None:
-            return None
-        return self.small_c_bits / self.bits
-
 
 class QuadExtElement(NamedTuple):
     """u + v*x with 0 <= u, v < n."""
@@ -196,30 +204,20 @@ class QuadExtElement(NamedTuple):
     v: int
 
 
-def _book_op(ring: ExtensionRing, counter: OpCounter, ops: int = 1, *, square: bool) -> None:
-    # ``ops`` non-scalar extension squarings (square=True) or products.
-    if ring.b is not None:
-        if square:
-            counter.squarings += 2 * ops
-            counter.full_mults += ops
-        else:
-            counter.full_mults += 3 * ops
-        counter.param_mults += 2 * ops
-    elif ring.small_c_bits is None:
-        counter.full_mults += 3 * ops
-    else:
-        counter.full_mults += 2 * ops
-        counter.record_small(ring.small_ratio, ops)
+def _book(counter: OpCounter, row: tuple, ring: ExtensionRing, times: int = 1) -> None:
+    """Add ``times`` copies of a ``_STEP_COSTS`` row to ``counter``.
 
-
-def _book_mul_by_x(ring: ExtensionRing, counter: OpCounter, ops: int = 1) -> None:
-    # ``ops`` mul_by_x steps.
-    if ring.b is not None:
-        counter.param_mults += 2 * ops
-    elif ring.small_c_bits is None:
-        counter.full_mults += ops
-    else:
-        counter.record_small(ring.small_ratio, ops)
+    Small products raise ``small_bits_ratio`` to the ring's ``small_ratio``;
+    zero copies leave it as it is.
+    """
+    squarings, full_mults, small_mults, param_mults = row
+    counter.squarings += squarings * times
+    counter.full_mults += full_mults * times
+    counter.param_mults += param_mults * times
+    if small_mults and times:
+        counter.small_mults += small_mults * times
+        if ring.small_ratio > counter.small_bits_ratio:
+            counter.small_bits_ratio = ring.small_ratio
 
 
 def ext_square(
@@ -238,10 +236,10 @@ def ext_square(
     u, v = e
     if v == 0:
         if counter is not None:
-            counter.squarings += 1
+            _book(counter, _SCALAR_SQUARE, ring)
         return QuadExtElement(u * u % n, 0)
     if counter is not None:
-        _book_op(ring, counter, square=True)
+        _book(counter, ring._steps.square, ring)
     uu = u * u
     vv = v * v
     t = u + v
@@ -270,7 +268,7 @@ def ext_mul(
     u2, v2 = e2
     if v1 == 0 and v2 == 0:
         if counter is not None:
-            counter.full_mults += 1
+            _book(counter, _SCALAR_PRODUCT, ring)
         return QuadExtElement(u1 * u2 % n, 0)
     if v1 == 0 or v2 == 0:
         if v1 == 0:
@@ -278,10 +276,10 @@ def ext_mul(
         else:
             s, u, v = u2, u1, v1
         if counter is not None:
-            counter.full_mults += 2
+            _book(counter, _SCALAR_TIMES_ELEMENT, ring)
         return QuadExtElement(s * u % n, s * v % n)
     if counter is not None:
-        _book_op(ring, counter, square=False)
+        _book(counter, ring._steps.product, ring)
     p = u1 * u2
     q = v1 * v2
     cross = (u1 + v1) * (u2 + v2) - p - q
@@ -301,7 +299,7 @@ def mul_by_x(e: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCounter
     n = ring.n
     u, v = e
     if counter is not None:
-        _book_mul_by_x(ring, counter)
+        _book(counter, ring._steps.x_step, ring)
     if ring.b is None:
         return QuadExtElement(ring.c * v % n, u)
     return QuadExtElement(ring.c * v % n, (u + ring.b * v) % n)
@@ -323,14 +321,12 @@ def ext_pow(
     ``counter``, multiply steps (one per set exponent bit after the leading
     bit) in ``mult_counter`` when given, else in ``counter`` as well.
     Keeping them separate lets the dominant-term contract be asserted on the
-    squaring steps alone.  ``generic_squares=True`` books every step at the
-    full formula's cost, whatever the base or the accumulator: bits(exp) - 1
-    non-scalar squaring steps (see ext_square) and popcount(exp) - 1
-    non-scalar multiply steps (ext_mul's, or mul_by_x).  Without it a step
-    that squares a scalar accumulator books one squaring, and a multiply
-    step on a scalar accumulator books two full multiplications (see
-    ext_mul); a scalar base books one squaring per squaring step and one
-    full multiplication per multiply step.
+    squaring steps alone.  Each step books one row of ``_STEP_COSTS``.
+    ``generic_squares=True`` books bits(exp) - 1 squaring steps and
+    popcount(exp) - 1 multiply steps at the ring's non-scalar rows (the
+    x-step row when e is x), whatever the base or the accumulator.  Without
+    it a step on a scalar accumulator books a scalar row instead, and a
+    scalar base books the scalar square and scalar product rows.
 
     The executed code is not that ladder: the loops work on local ints,
     reduce once per output coefficient (the square of v is reduced first
@@ -372,9 +368,9 @@ def ext_pow(
     mults = exp.bit_count() - 1
     if v == 0 and not generic_squares:
         if counter is not None:
-            counter.squarings += steps
+            _book(counter, _SCALAR_SQUARE, ring, steps)
         if mult_counter is not None:
-            mult_counter.full_mults += mults
+            _book(mult_counter, _SCALAR_PRODUCT, ring, mults)
         return QuadExtElement(pow(u, exp, n), 0)
     h, d = ring._completed
     yu, full_d = (u + h * v) % n, ring.small_c_bits is None
@@ -398,14 +394,14 @@ def ext_pow(
     if h:
         acc = QuadExtElement((acc.u - h * acc.v) % n, acc.v)
     if counter is not None:
-        counter.squarings += scalar_squares
-        _book_op(ring, counter, steps - scalar_squares, square=True)
+        _book(counter, _SCALAR_SQUARE, ring, scalar_squares)
+        _book(counter, ring._steps.square, ring, steps - scalar_squares)
     if mult_counter is not None:
         if u == 0 and v == 1:
-            _book_mul_by_x(ring, mult_counter, mults)
+            _book(mult_counter, ring._steps.x_step, ring, mults)
         else:
-            mult_counter.full_mults += 2 * scalar_mults
-            _book_op(ring, mult_counter, mults - scalar_mults, square=False)
+            _book(mult_counter, _SCALAR_TIMES_ELEMENT, ring, scalar_mults)
+            _book(mult_counter, ring._steps.product, ring, mults - scalar_mults)
     return acc
 
 

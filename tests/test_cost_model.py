@@ -15,6 +15,7 @@ from frobprime.cost_model import (
     render_cost_table,
     summarize,
 )
+from frobprime import quadext
 from frobprime.nonresidue import DELTA_THRESHOLD
 from frobprime.quadext import OpCounter
 
@@ -100,6 +101,19 @@ def test_summarize_formula_is_exact():
     assert set(report.as_dict()) == {"msq_total", "selfridge_units", "selfridges", "param_mults"}
 
 
+def test_the_booked_square_of_each_ring_form_is_its_per_iteration_cost():
+    # quadext's cost table against the paper's formulas, written out apart
+    forms = {"general": Variant.QFT, "pure": Variant.RQFT, "pure-smallc": Variant.RQFT_SMALLC}
+    assert set(forms) == set(quadext._STEP_COSTS)
+    for form, variant in forms.items():
+        square = OpCounter(*quadext._STEP_COSTS[form].square)
+        for m in (1.0, 1.3, 2.0, 3.7):
+            for delta in (DELTA_STAR, 0.5, 1.0):
+                w = CostWeights(m, delta)
+                booked = summarize(square, 10**9 + 7, w).msq_total
+                assert booked == pytest.approx(per_op_cost(variant, w)), (form, m, delta)
+
+
 def test_summarize_one_selfridge_is_one_squaring_per_bit():
     n = (1 << 255) | 1
     counter = OpCounter(squarings=n.bit_length(), full_mults=0)
@@ -136,8 +150,6 @@ def test_measure_m_validation():
         measure_m(32, 1)
     with pytest.raises(ValueError):
         measure_m(64, 0)
-    with pytest.raises(ValueError):
-        measure_m(64, 1, delta=0)
     for reps in (0, -3):
         with pytest.raises(ValueError, match="reps"):
             measure_m(64, 1, reps=reps)

@@ -698,6 +698,31 @@ def test_step5_tail_matches_the_ladders_where_y_is_x():
         assert reached >= 3, (k, reached)
 
 
+def test_step5_tail_matches_the_ladders_in_the_pure_forms_on_mersenne_primes():
+    # n + 1 = 2^k makes y = z and 2 * v2(n + 1) >= bits(s1), so ext_pow runs
+    # z^s = y^s1 without its scalar-power probe, on the width-1 kernel that
+    # counts the scalar steps.  Half the z are e^(2^(k - j)), whose power
+    # y^(2^j) = N(e) is scalar, so t = 1 and the tail reaches z^s.  The
+    # prefixes of s1 = 2^(k-1) - 1 are odd, so only a = 1 (y^2 scalar) has
+    # scalar steps there: every multiply step.
+    rng = random.Random(20261024)
+    for k in (61, 89, 127):
+        n = 2**k - 1
+        small_c = next(c for c in range(2, 100) if jacobi(c, n) == -1)
+        reached = set()
+        for i in range(24):
+            small = i % 2 == 1
+            ring = ExtensionRing.pure(n, small_c if small else sample_nonresidue(n, rng), small=small)
+            z = QuadExtElement(rng.randrange(n), rng.randrange(1, n))
+            if i % 4 >= 2:
+                j = rng.choice((1, 2, rng.randrange(3, k - 1)))
+                z = ext_pow(z, 1 << (k - j), ring)
+            _, a = _tail_against_the_ladders(z, ring)
+            if a is not None:
+                reached.add((small, a == 1))
+        assert reached == {(False, False), (False, True), (True, False), (True, True)}, (k, reached)
+
+
 def _composite_tail_elements(n, rng, count):
     """Elements y for the step-5 tail over a composite n: z^odd(n + 1) as in a
     run, and z^(2^j * m) with m the odd part of a multiple of the unit group's

@@ -353,9 +353,14 @@ def test_op_counter_arithmetic():
     assert a == total
     assert a != b
     assert OpCounter() == OpCounter()
+    # small_bits_ratio keeps the largest small operand booked, and zero
+    # copies of a row book nothing, the ratio included
     c = OpCounter()
-    c.record_small(0.3)
-    c.record_small(0.2)
+    x_step = quadext._STEP_COSTS["pure-smallc"].x_step
+    quadext._book(c, x_step, ExtensionRing.pure(1023, 5, small=True))  # 3 of 10 bits
+    quadext._book(c, x_step, ExtensionRing.pure(1023, 3, small=True))  # 2 of 10 bits
+    assert c.small_mults == 2 and c.small_bits_ratio == 0.3
+    quadext._book(c, x_step, ExtensionRing.pure(1023, 255, small=True), 0)
     assert c.small_mults == 2 and c.small_bits_ratio == 0.3
     assert "squarings=11" in repr(total)
 
