@@ -19,7 +19,10 @@ computed once from the exponent's bit length and popcount, the ring's
 rows and (without ``generic_squares``) the number of steps whose
 accumulator was scalar.  Its executed code differs: outside the
 dominant ladder a scalar base is the built-in ``pow``, and so is all but a
-few bits of the power of a unit base with a scalar power e^(2^a).  Every
+few bits of the power of a unit base with a scalar power e^(2^a).  Both
+split at the top level j = v2(n + 1) - 1 and keep the last high power in
+``_last_power``, so step 5's z^s = y^s1 reuses the one its t = w^s1 has
+just computed (w = y^(2^j)): one full-size ``pow`` per round.  Every
 other power runs one kernel, in the pure form, on local ints, reducing
 once per output coefficient (2 reductions per square with a small c, 3
 where v^2 must be reduced before a full-size c multiplies it).  A
@@ -332,7 +335,8 @@ def ext_pow(
     reduce once per output coefficient (the square of v is reduced first
     only where a full-size c multiplies it), and every bucket is booked
     once at the end.  Without ``generic_squares`` a scalar base is the
-    built-in ``pow``; with it a scalar runs the kernel.
+    built-in ``pow`` (see ``_scalar_pow`` for how it splits); with it a
+    scalar runs the kernel.
 
     One kernel, a left-to-right sliding window of width k whose width-1 case
     is the binary ladder, runs every power in the pure form: a general-form
@@ -348,12 +352,15 @@ def ext_pow(
     booking tracks no scalar accumulator.  Every other ladder has width 1.
 
     Otherwise the binary ladder counts the steps whose accumulator is
-    scalar.  A base whose power e^(2^a) is a unit scalar s for a small a
-    (see ``_scalar_power``) skips most of the ladder: e**exp =
-    s^(exp >> a) * e^(exp mod 2^a), one built-in ``pow`` and a ladder of a
-    bits.  Such a base is a unit, so its scalar powers are exactly the
+    scalar.  A base whose power e^(2^a) is a unit scalar for a small a
+    (see ``_scalar_power``) skips most of the ladder: with s = e^(2^j) for
+    j = max(a, v2(n + 1) - 1), e**exp = s^(exp >> j) * e^(exp mod 2^j), a
+    ladder of j bits and at most one built-in ``pow``.  Step 5's t = 1
+    round needs none: the same round's scalar power t = w^s1 with
+    w = y^(2^j) left s^(s1 >> j) in ``_last_power``, so z^s = y^s1 reuses
+    it.  Such a base is a unit, so its scalar powers are exactly the
     multiples of 2^a, and the ladder's scalar steps follow from exp's bits
-    in closed form.  The dominant ladder's base has no such power in
+    and a in closed form.  The dominant ladder's base has no such power in
     practice, so it skips that probe.  The values are the ladder's.
     """
     if exp < 0:
@@ -371,7 +378,7 @@ def ext_pow(
             _book(counter, _SCALAR_SQUARE, ring, steps)
         if mult_counter is not None:
             _book(mult_counter, _SCALAR_PRODUCT, ring, mults)
-        return QuadExtElement(pow(u, exp, n), 0)
+        return QuadExtElement(_scalar_pow(u, exp, n), 0)
     h, d = ring._completed
     yu, full_d = (u + h * v) % n, ring.small_c_bits is None
     scalar_squares = scalar_mults = 0
@@ -382,9 +389,9 @@ def ext_pow(
         if split is None:
             acc, scalar_squares, scalar_mults = _pure_power(yu, v, exp, n, d, full_d, 1)
         else:
-            a, s = split
-            high = pow(s, exp >> a, n)
-            low = exp & ((1 << a) - 1)
+            a, j, s = split
+            high = _remembered_pow(s, exp >> j, n)
+            low = exp & ((1 << j) - 1)
             if low:
                 lu, lv = _pure_power(yu, v, low, n, d, full_d, 1)[0]
                 acc = QuadExtElement(high * lu % n, high * lv % n)
@@ -405,24 +412,76 @@ def ext_pow(
     return acc
 
 
-def _scalar_power(u: int, v: int, exp: int, ring: ExtensionRing) -> "Optional[tuple[int, int]]":
-    """(a, s) for the least a >= 1 with (u + v*x)^(2^a) = s, a unit scalar; else None.
+#: ((base, exp, n), base^exp mod n) for the last high power that
+#: ``_remembered_pow`` computed.  The entry is written and read as one tuple,
+#: so a reader in any thread pairs a key with its own value; and a value is
+#: a pure function of its key, so any hit is right.
+_last_power = (None, None)
 
-    Only a <= v2(n + 1) is tried: for prime n the units modulo scalars of
-    F_(n^2) form a cyclic group of order n + 1.  Nothing is tried when
-    v2(n + 1) exceeds half of exp's bits (n = 2^k - 1, say), where the
-    probe and the a-bit ladder can cost more than the ladder they replace.
-    The squarings are not booked.
+
+def _levels(n: int, exp: int) -> int:
+    """v2(n + 1), the most squarings ``ext_pow`` splits off a power of exp.
+
+    0 where v2(n + 1) reaches half of exp's bits (n = 2^k - 1, say): there
+    the probe and the low ladder can cost more than the ladder they replace.
+    """
+    levels = ((n + 1) & -(n + 1)).bit_length() - 1
+    return 0 if 2 * levels >= exp.bit_length() else levels
+
+
+def _remembered_pow(base: int, exp: int, n: int) -> int:
+    """pow(base, exp, n), taken from ``_last_power`` when it holds that key, else stored there."""
+    global _last_power
+    key = (base, exp, n)
+    last_key, power = _last_power
+    if last_key != key:
+        power = pow(base, exp, n)
+        _last_power = (key, power)
+    return power
+
+
+def _scalar_pow(u: int, exp: int, n: int) -> int:
+    """u^exp mod n, split at the top level j = v2(n + 1) - 1.
+
+    u^exp = W^(2^j) * u^(exp mod 2^j) with the high power W = u^(exp >> j),
+    which ``_remembered_pow`` stores under (u, exp >> j, n).  Step 5's
+    t = w^s1 stores it so; a t = 1 round then needs z^s = y^s1 with
+    y^(2^j) = w, whose high power (y^(2^j))^(s1 >> j) is that same W.  So a
+    scalar u first peeks under (u^(2^j), exp >> j, n), j more squarings, and
+    on a hit u^exp is W * u^(exp mod 2^j).  Powers with j < 1, or with too
+    few bits for ``_levels``, run whole.
+    """
+    j = _levels(n, exp) - 1
+    if j < 1:
+        return pow(u, exp, n)
+    high, low = exp >> j, pow(u, exp & ((1 << j) - 1), n)
+    last_key, power = _last_power
+    if last_key == (pow(u, 1 << j, n), high, n):
+        return power * low % n
+    return pow(_remembered_pow(u, high, n), 1 << j, n) * low % n
+
+
+def _scalar_power(u: int, v: int, exp: int, ring: ExtensionRing) -> "Optional[tuple[int, int, int]]":
+    """(a, j, s) for the least a >= 1 with (u + v*x)^(2^a) a unit scalar; else None.
+
+    j = max(a, v2(n + 1) - 1) is the level ``ext_pow`` splits the power at,
+    and s = (u + v*x)^(2^j), so that e**exp = s^(exp >> j) * e^(exp mod 2^j).
+    At the top level v2(n + 1) - 1, step 5's y^s1 finds s^(s1 >> j) in
+    ``_last_power``, where the same round's t = w^s1 left it (``_scalar_pow``).
+    Only a <= v2(n + 1) is tried (see ``_levels``): for prime n the units
+    modulo scalars of F_(n^2) form a cyclic group of order n + 1.  The
+    squarings are not booked.
     """
     n = ring.n
-    limit = ((n + 1) & -(n + 1)).bit_length() - 1
-    if 2 * limit >= exp.bit_length():
-        return None
+    limit = _levels(n, exp)
     e = QuadExtElement(u, v)
     for a in range(1, limit + 1):
         e = ext_square(e, ring)
         if e.v == 0:
-            return (a, e.u) if math.gcd(e.u, n) == 1 else None
+            if math.gcd(e.u, n) != 1:
+                return None
+            j = max(a, limit - 1)
+            return a, j, pow(e.u, 1 << (j - a), n)
     return None
 
 

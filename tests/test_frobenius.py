@@ -723,6 +723,87 @@ def test_step5_tail_matches_the_ladders_in_the_pure_forms_on_mersenne_primes():
         assert reached == {(False, False), (False, True), (True, False), (True, True)}, (k, reached)
 
 
+def _drawn_round(p, form, rng):
+    """A round's parameters at the prime p in the given form, drawn as the
+    samplers do, with (a, t): the least a with y^(2^a) scalar for y = z^s2,
+    and t = w^s1 for w = y^(2^(r2-1)), both by the step-by-step ladder."""
+    if form == "general":
+        params, small = generate_qft_params(p, rng), False
+        ring, z = ExtensionRing.general(p, params.b, params.c), QuadExtElement(0, 1)
+    else:
+        small = form == "pure-small"
+        c = next(c for c in range(2, p) if jacobi(c, p) == -1) if small else sample_nonresidue(p, rng)
+        params = generate_rqft_params(p, c, rng)
+        ring, z = ExtensionRing.pure(p, c, small=small), QuadExtElement(params.b, params.a)
+    r2, s2 = two_adic_split(p + 1)
+    y, a = _ext_pow_by_steps(z, s2, ring), 0
+    while y.v:
+        y, a = ext_square(y, ring), a + 1
+    w = _ext_pow_by_steps(z, (p + 1) >> 1, ring)
+    assert w.v == 0 and a < r2
+    return params, small, a, pow(w.u, two_adic_split(p - 1)[1], p)
+
+
+def _count_pows(monkeypatch):
+    """The exponents of quadext's built-in pow calls, as they run, with an
+    empty ``quadext._last_power`` to start."""
+    exps = []
+
+    def counted(base, exp, mod):
+        exps.append(exp)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(quadext, "pow", counted, raising=False)
+    monkeypatch.setattr(quadext, "_last_power", (None, None))
+    return exps
+
+
+def test_a_t_equal_1_round_runs_one_full_size_pow(monkeypatch):
+    # v2(p + 1) = 3, so j = r2 - 1 = 2.  A t = 1 round has a < j, for at
+    # a = j the scalar w = y^(2^j) has no square root in F_p and t = -1: so
+    # y is a scalar (a = 0) or y^2 is not but y^4 = w is (a = 1, j - a = 1
+    # squaring from y's probe to w).  z^s = y^s1 takes the high power
+    # W = w^(s1 >> j) that t = w^s1 left in quadext._last_power, so a round
+    # with t = 1 makes one built-in pow with an exponent of more than
+    # bits(p)/2 bits, like a round with t != 1.
+    exps = _count_pows(monkeypatch)
+    rng = random.Random(20261025)
+    p = _prime_with_v2(rng, 3, 256)
+    forms = ("general", "pure", "pure-small")
+    seen = set()
+    for i in range(240):
+        form = forms[i % 3]
+        params, small, a, t = _drawn_round(p, form, rng)
+        exps.clear()
+        assert frobenius._run_round(p, params, None, small_c=small).is_probable_prime
+        assert sum(e.bit_length() > p.bit_length() // 2 for e in exps) == 1, (form, a, t, exps)
+        if t == 1:
+            seen.add((form, a))
+    assert seen == {(form, a) for form in forms for a in range(2)}, seen
+
+
+def test_rounds_with_r2_1_or_a_mersenne_n_run_t_as_one_whole_pow(monkeypatch):
+    # r2 = 1 leaves nothing to split, and n = 2^k - 1 has 2 * v2(n + 1) >=
+    # bits(s1): t = w^s1 is one pow of the whole exponent, nothing is
+    # remembered, and a Mersenne t = 1 round runs z^s on the kernel.
+    exps = _count_pows(monkeypatch)
+    rng = random.Random(20261026)
+    p = _prime_with_v2(rng, 1, 256)
+    while p % 8 != 5:  # r1 = 2: t = 1 in about a quarter of the rounds
+        p = _prime_with_v2(rng, 1, 256)
+    for n in (p, 2**127 - 1):
+        s1 = two_adic_split(n - 1)[1]
+        t_one = 0
+        for i in range(30):
+            params, small, _, t = _drawn_round(n, ("general", "pure", "pure-small")[i % 3], rng)
+            exps.clear()
+            assert frobenius._run_round(n, params, None, small_c=small).is_probable_prime
+            assert exps == [s1], (n, exps)
+            assert quadext._last_power == (None, None)
+            t_one += t == 1
+        assert t_one >= 3, (n, t_one)
+
+
 def _composite_tail_elements(n, rng, count):
     """Elements y for the step-5 tail over a composite n: z^odd(n + 1) as in a
     run, and z^(2^j * m) with m the odd part of a multiple of the unit group's

@@ -1,6 +1,8 @@
 """Extension-ring arithmetic: values, ring axioms, and operation booking."""
 
 import random
+import sys
+import threading
 
 import pytest
 from sympy import isprime, nextprime
@@ -642,3 +644,97 @@ def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
         for is_x in (False, True):
             assert min(bits for f, x, bits in windows if (f, x) == (form, is_x)) == 128, (form, is_x)
         assert max(bits for f, _, bits in windows if f == form) > 400
+
+
+def _memo_pairs(rng, k, bits, form, count):
+    """(ring, w, y, exp) over a prime p with v2(p + 1) = k: y has a power
+    y^(2^a), a <= k - 1, that is a unit scalar, and w = y^(2^(k-1)), the
+    top power that ``ext_pow`` splits y's powers at.  So ext_pow(w, exp)
+    followed by ext_pow(y, exp) is step 5's t = w^s1 and z^s = y^s1."""
+    p = _prime_with_v2(rng, k, bits)
+    ring = _field(rng, p, form)
+    for _ in range(count):
+        z = QuadExtElement(rng.randrange(p), rng.randrange(1, p))
+        y = ext_pow(z, (p + 1) >> (k - 1), ring)
+        w = ext_pow(y, 1 << (k - 1), ring)
+        yield ring, w, y, rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+def _peeked_key(base, exp, ring):
+    """The key under which ext_pow looks for base^exp's high power."""
+    n = ring.n
+    if base[1]:
+        _, j, top = quadext._scalar_power(*base, exp, ring)
+        return top, exp >> j, n
+    j = quadext._levels(n, exp) - 1
+    return pow(base[0], 1 << j, n), exp >> j, n
+
+
+def test_the_remembered_high_power_never_changes_a_value(monkeypatch):
+    # Before each power, the entry is primed by a power of the same exponent
+    # over another modulus of the same size and another base, and then by a
+    # planted entry whose key differs from the one peeked in one place only,
+    # with a wrong power.  Values and bookings stay the ladder's.  y's power
+    # right after w's is step 5's pair, and finds w's high power.
+    big = []
+
+    def counted(base, exp, mod):
+        big.append(exp.bit_length() > mod.bit_length() // 2)
+        return pow(base, exp, mod)
+
+    monkeypatch.setattr(quadext, "pow", counted, raising=False)
+    rng = random.Random(20261027)
+    forms = ("general", "pure", "pure-small")
+    hits = 0
+    for i in range(36):
+        k, bits, form = 2 + i % 5, (40, 130)[i % 2], forms[i % 3]
+        others = list(_memo_pairs(rng, k, bits, form, 4))
+        for (ring, w, y, exp), (other, ow, oy, _) in zip(_memo_pairs(rng, k, bits, form, 4), others):
+            for priming in range(4):
+                for base, other_base in ((w, ow), (y, oy)):
+                    if priming == 1:
+                        ext_pow(other_base, exp, other)
+                    elif priming > 1:
+                        top, high, n = _peeked_key(base, exp, ring)
+                        near = [(top + 1, high, n), (top, high + 2, n), (top, high, other.n)][i % 3]
+                        monkeypatch.setattr(quadext, "_last_power", (near, priming))
+                    got, want = [OpCounter(), OpCounter()], [OpCounter(), OpCounter()]
+                    big.clear()
+                    assert ext_pow(base, exp, ring, *got) == _ext_pow_by_steps(base, exp, ring, *want)
+                    assert [c.as_dict() for c in got] == [c.as_dict() for c in want], (ring, base, exp)
+                    hits += base is y and not priming and not any(big)
+    assert hits >= 100, hits
+
+
+def test_threads_over_different_rings_get_the_ladders_values():
+    # one thread per ring form, each over its own prime, all powering by the
+    # same exponents, so their keys differ in the base and the modulus only
+    rng = random.Random(20261028)
+    pairs = [list(_memo_pairs(rng, 3, 130, form, 12)) for form in ("general", "pure", "pure-small")]
+    exps = [exp for *_, exp in pairs[0]]
+    jobs = [
+        [(ring, base, exp, _ext_pow_by_steps(base, exp, ring)) for (ring, w, y, _), exp in zip(ps, exps) for base in (w, y)]
+        for ps in pairs
+    ]
+    wrong = []
+    done = []
+
+    def run(work):
+        for _ in range(150):
+            for ring, base, exp, want in work:
+                if ext_pow(base, exp, ring) != want:
+                    wrong.append((ring, base, exp))
+        done.append(work)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(work,)) for work in jobs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and len(done) == len(jobs)
+    assert not wrong, wrong[:3]
