@@ -267,15 +267,11 @@ def as_fraction(value: "Fraction | int | str") -> Fraction:
     decimal exponent like 0.2025, and the root-extraction code below needs
     the exponent exactly.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(
-        f"exact exponent expected (Fraction, int, or str), got {type(value).__name__}"
-    )
+    if not isinstance(value, (Fraction, int, str)):
+        raise TypeError(
+            f"exact exponent expected (Fraction, int, or str), got {type(value).__name__}"
+        )
+    return Fraction(value)
 
 
 def floor_frac_pow(n: int, exponent: "Fraction | int | str") -> int:

@@ -35,7 +35,7 @@ import random
 import sys
 from typing import Optional
 
-from .arith import _load_batch_residues, as_fraction
+from .arith import _load_batch_residues
 from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
 # initial_screen, qft, rqft, rqft_with_small_c, strong_test, lucas_test and
 # the three samplers are not called here; benchmarks/tracing.py wraps them
@@ -56,7 +56,7 @@ from .frobenius import (  # noqa: F401
     _SCREENED_METHODS,
     _check_options,
 )
-from .nonresidue import SearchConfig, charsum_experiment, density_experiment, find_small_nonresidue
+from .nonresidue import SearchConfig, _record, charsum_experiment, density_experiment, find_small_nonresidue
 from .quadext import OpCounter
 
 EXIT_PROBABLE_PRIME = 0
@@ -164,18 +164,10 @@ def _valid_n(token: "str | int") -> int:
 
 
 def cmd_find_c(args) -> int:
-    delta = as_fraction(args.delta) if args.delta is not None else None
-    config = SearchConfig.for_modulus(args.n, delta)
+    config = SearchConfig.for_modulus(args.n, args.delta)
     outcome = find_small_nonresidue(args.n, config)
-    report = {
-        "n": args.n,
-        "outcome": outcome.kind,
-        "c": outcome.c,
-        "factor": outcome.factor,
-        "examined": outcome.examined,
-        "cap": config.cap,
-        "delta": str(config.delta),
-    }
+    report = {"n": args.n, "outcome": outcome.kind, **_record(outcome),
+              "cap": config.cap, "delta": str(config.delta)}
     _emit(report, args.output)
     if outcome.c is not None:
         return EXIT_PROBABLE_PRIME
@@ -185,29 +177,24 @@ def cmd_find_c(args) -> int:
 
 
 def cmd_density(args) -> int:
-    delta = as_fraction(args.delta) if args.delta is not None else None
-    seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
-    report = density_experiment(args.n, delta, seed=seed, sample_size=args.sample_size)
+    report = density_experiment(args.n, args.delta, seed=args.seed, sample_size=args.sample_size)
     _emit(report.as_dict(), args.output)
     return 0
 
 
 def cmd_charsum(args) -> int:
-    report = charsum_experiment(args.n, as_fraction(args.gamma))
-    _emit(report.as_dict(), args.output)
+    _emit(charsum_experiment(args.n, args.gamma).as_dict(), args.output)
     return 0
 
 
 def cmd_bench(args) -> int:
-    seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
-    measured = measure_m(args.bits, args.trials, seed=seed, reps=args.reps)
+    measured = measure_m(args.bits, args.trials, seed=args.seed, reps=args.reps)
     _emit(measured.as_dict(), args.output)
     return 0
 
 
 def cmd_cost_table(args) -> int:
-    ms = args.m if args.m else None
-    print(render_cost_table(cost_table(ms, args.delta)))
+    print(render_cost_table(cost_table(args.m, args.delta)))
     return 0
 
 

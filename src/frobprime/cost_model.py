@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .arith import modulus_value
-from .nonresidue import DELTA_THRESHOLD
+from .nonresidue import DELTA_THRESHOLD, _record
 from .quadext import OpCounter
 
 __all__ = [
@@ -118,12 +118,7 @@ class CostReport:
     param_mults: int
 
     def as_dict(self) -> dict:
-        return {
-            "msq_total": self.msq_total,
-            "selfridge_units": self.selfridge_units,
-            "selfridges": self.selfridges,
-            "param_mults": self.param_mults,
-        }
+        return _record(self)
 
 
 def summarize(counter: OpCounter, n: int, weights: CostWeights) -> CostReport:
@@ -169,18 +164,7 @@ class MeasuredCosts:
         return CostWeights(self.m, self.delta)
 
     def as_dict(self) -> dict:
-        return {
-            "bits": self.bits,
-            "trials": self.trials,
-            "reps": self.reps,
-            "seed": self.seed,
-            "delta": self.delta,
-            "square_ns": self.square_ns,
-            "full_mult_ns": self.full_mult_ns,
-            "small_mult_ns": self.small_mult_ns,
-            "m": self.m,
-            "small_m": self.small_m,
-        }
+        return _record(self, "m", "small_m")
 
 
 def _time_products(pairs: Sequence[tuple], n: int, reps: int) -> float:

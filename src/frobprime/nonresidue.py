@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -43,6 +44,16 @@ DELTA_THRESHOLD = 1.0 / (3.0 * math.sqrt(math.e))
 
 #: Default search exponent: 81/400, the smallest round decimal above the threshold.
 DEFAULT_DELTA = Fraction("0.2025")
+
+
+def _record(report, *derived: str) -> dict:
+    """A report's fields in order, then its ``derived`` properties, with each
+    Fraction written as its exact string: the record ``--output`` prints."""
+    record = {}
+    for name in [field.name for field in fields(report)] + list(derived):
+        value = getattr(report, name)
+        record[name] = str(value) if isinstance(value, Fraction) else value
+    return record
 
 
 @dataclass(frozen=True)
@@ -165,17 +176,7 @@ class DensityReport:
         return self.count_not_plus_one / self.candidates_examined
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "delta": str(self.delta),
-            "mode": self.mode,
-            "seed": self.seed,
-            "candidates_examined": self.candidates_examined,
-            "count_minus_one": self.count_minus_one,
-            "count_zero": self.count_zero,
-            "count_not_plus_one": self.count_not_plus_one,
-            "proportion": self.proportion,
-        }
+        return _record(self, "proportion")
 
 
 def density_experiment(
@@ -205,37 +206,24 @@ def density_experiment(
     total = cap - 1  # candidates 2 .. cap inclusive
     if total <= 0:
         raise ValueError("window is empty; increase delta")
-    minus_one = zero = 0
     if total <= _ENUMERATION_LIMIT:
-        mode = "exhaustive"
-        examined = total
-        used_seed = None
-        for c in range(2, cap + 1):
-            j = jacobi(c, n)
-            if j == -1:
-                minus_one += 1
-            elif j == 0:
-                zero += 1
+        mode, used_seed = "exhaustive", None
+        candidates = range(2, cap + 1)
     else:
         mode = "sampled"
-        examined = sample_size
         used_seed = seed if seed is not None else random.SystemRandom().getrandbits(64)
         rng = random.Random(used_seed)
-        for _ in range(sample_size):
-            j = jacobi(rng.randint(2, cap), n)
-            if j == -1:
-                minus_one += 1
-            elif j == 0:
-                zero += 1
+        candidates = (rng.randint(2, cap) for _ in range(sample_size))
+    symbols = Counter(jacobi(c, n) for c in candidates)
     return DensityReport(
         n=n,
         delta=d,
         mode=mode,
         seed=used_seed,
-        candidates_examined=examined,
-        count_minus_one=minus_one,
-        count_zero=zero,
-        count_not_plus_one=minus_one + zero,
+        candidates_examined=symbols.total(),
+        count_minus_one=symbols[-1],
+        count_zero=symbols[0],
+        count_not_plus_one=symbols[-1] + symbols[0],
     )
 
 
@@ -254,13 +242,7 @@ class CharSumReport:
         return abs(self.charsum) / self.cutoff
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "gamma": str(self.gamma),
-            "cutoff": self.cutoff,
-            "charsum": self.charsum,
-            "ratio": self.ratio,
-        }
+        return _record(self, "ratio")
 
 
 def charsum_experiment(n: int, gamma) -> CharSumReport:

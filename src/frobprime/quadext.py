@@ -195,10 +195,6 @@ class ExtensionRing:
         c %= n
         return cls(n, None, c, c.bit_length() if small else None)
 
-    @property
-    def bits(self) -> int:
-        return self.n.bit_length()
-
 
 class QuadExtElement(NamedTuple):
     """u + v*x with 0 <= u, v < n."""

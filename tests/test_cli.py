@@ -16,6 +16,8 @@ from frobprime.nonresidue import SearchOutcome
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_test_stdin.json").read_text())
 GOLDEN_SCAN = json.loads((DATA / "golden_scan_stdin.json").read_text())
+GOLDEN_SUBCOMMANDS = json.loads((DATA / "golden_subcommands.json").read_text())["cases"]
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -374,6 +376,50 @@ def test_bench_smoke(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["bits"] == 64 and doc["m"] > 0
+
+
+@pytest.mark.parametrize("case", GOLDEN_SUBCOMMANDS, ids=[" ".join(case["argv"]) for case in GOLDEN_SUBCOMMANDS])
+def test_experiment_subcommands_match_the_golden_output(capsys, case):
+    # recorded before the reports built their records from their fields and
+    # the CLI passed --delta, --gamma, --seed and --m through unparsed; where
+    # the output holds timings or a fresh seed, only its plain keys are pinned
+    code, out, err = run(capsys, *case["argv"])
+    assert (code, err) == (case["exit"], case["stderr"])
+    if "keys" in case:
+        assert [token.split("=")[0] for token in out.split()] == case["keys"]
+    else:
+        assert out == case["stdout"]
+
+
+def test_a_two_fault_argv_reports_the_librarys_first_error(capsys):
+    # --delta and --gamma reach the library unparsed, so its first check speaks
+    cases = [
+        (("find-c", "14", "--delta", "abc"), lambda: nonresidue.SearchConfig.for_modulus(14, "abc")),
+        (("density", "--n", "9", "--delta", "abc"), lambda: nonresidue.density_experiment(9, "abc")),
+        (("charsum", "--n", "16", "--gamma", "abc"), lambda: nonresidue.charsum_experiment(16, "abc")),
+    ]
+    for argv, call in cases:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert run(capsys, *argv) == (2, "", f"error: {exc.value}\n")
+
+
+def test_the_readme_synopsis_lists_each_subcommands_options():
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.splitlines():
+        line = line.split("#", 1)[0]
+        if line.startswith("frobprime "):
+            name = line.split()[1]
+            synopsis[name] = set()
+        synopsis[name] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    parsers = {}
+    for name, (_, add_arguments) in cli._COMMANDS.items():
+        parser = argparse.ArgumentParser()
+        add_arguments(parser)
+        parsers[name] = {option for action in parser._actions for option in action.option_strings} - {"-h", "--help"}
+    assert synopsis == parsers
 
 
 def test_help_and_bad_usage_exit_codes(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -200,8 +201,13 @@ def test_as_fraction_parses_exact_inputs_only():
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
     assert as_fraction(2) == 2
     assert as_fraction("1/2") == Fraction(1, 2)
-    with pytest.raises(TypeError):
-        as_fraction(0.2025)
+    assert as_fraction(" -3/6 ") == Fraction(-1, 2)
+    assert as_fraction(True) == 1  # bool is an int
+    for inexact in (0.2025, Decimal("0.2"), None, complex(1), [1, 2]):
+        with pytest.raises(TypeError):
+            as_fraction(inexact)
+    with pytest.raises(ValueError):
+        as_fraction("0.2.5")
 
 
 def test_two_adic_split():
