@@ -52,7 +52,7 @@ from .arith import (
 )
 from . import nonresidue
 from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
-from .quadext import _pure_form, _pure_power, _window_width
+from .quadext import _fold, _pure_form, _pure_power, _window_width
 
 __all__ = [
     "RETRY_CAP",
@@ -747,7 +747,7 @@ def lucas_uv(P: int, Q: int, k: int, n: int, counter: Optional[OpCounter] = None
             return 0, 2 % n
         raise ValueError("lucas_uv requires k >= 0")
     h, d = _pure_form(n, P, -Q)
-    (u, U), _, _ = _pure_power(h, 1, k, n, d, True, _window_width(k.bit_length()))
+    (u, U), _, _ = _pure_power(h, 1, k, n, d, _fold(n, d), _window_width(k.bit_length()))
     if counter is not None:
         steps = k.bit_length() - 1
         counter.full_mults += steps + 6 * (k.bit_count() - 1)

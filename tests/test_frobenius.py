@@ -1087,7 +1087,8 @@ def _lucas_uv_by_inverse(P, Q, k, n, counter=None):
 
 def _lucas_cases(rng):
     """(P, Q, k, n): random, then 2048-bit n with k = n -+ 1, k around the
-    window crossover, and the degenerate P = 0 mod n and P^2 = 4Q mod n."""
+    window crossover, the degenerate P = 0 mod n and P^2 = 4Q mod n, and n
+    around the kernel's fold crossover."""
     for i in range(400):
         n = max(3, rng.getrandbits(rng.randrange(2, 600)) | 1) if i % 4 else rng.randrange(3, 100) | 1
         P, Q = rng.randrange(-n, 2 * n), rng.randrange(-n, 2 * n)
@@ -1100,6 +1101,11 @@ def _lucas_cases(rng):
         for k in (1 << (bits - 1), rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1):
             P, Q = rng.randrange(n), rng.randrange(n)
             yield from ((P, Q, k, n), (n * rng.randrange(-2, 3), Q, k, n), (2 * P, P * P + n * 4, k, n))
+    for bits in range(quadext._FOLD_MIN_BITS - 1, quadext._FOLD_MIN_BITS + 2):
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        for k in (n - 1, n + 1, rng.getrandbits(100)):
+            yield rng.randrange(n), rng.randrange(n), k, n
+        yield n - 2, n - 1, n + 1, n  # D = 8, d = D/4 = 2
 
 
 def test_lucas_uv_matches_the_inverse_of_two_ladder():

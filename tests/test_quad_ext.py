@@ -7,7 +7,7 @@ import threading
 import pytest
 from sympy import isprime, nextprime
 
-from frobprime import quadext
+from frobprime import frobenius, quadext
 from frobprime.arith import jacobi, primes_up_to
 from frobprime.quadext import (
     ExtensionRing,
@@ -134,9 +134,10 @@ def test_square_equals_self_multiplication():
 
 
 def test_products_match_the_schoolbook_formula_in_every_form():
-    # x^2 = b*x + c, with b = 0 for the pure form; small=True changes only where v^2 is reduced
+    # x^2 = b*x + c, with b = 0 for the pure form; the bit sizes straddle the
+    # kernel's fold crossover, and small=True never folds
     rng = random.Random(59)
-    for bits in (8, 64, 256, 2048):
+    for bits in (8, 64, 256, 2048, quadext._FOLD_MIN_BITS - 1, quadext._FOLD_MIN_BITS):
         for _ in range(30):
             n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
             rings = [
@@ -516,9 +517,10 @@ def _power(base, exp, ring, k):
     x = y + b/2: (base^exp, scalar squares, scalar products)."""
     n = ring.n
     if ring.b is None:
-        return quadext._pure_power(*base, exp, n, ring.c, ring.small_c_bits is None, k)
+        ch = None if ring.small_c_bits is not None else quadext._fold(n, ring.c)
+        return quadext._pure_power(*base, exp, n, ring.c, ch, k)
     h, d = quadext._pure_form(n, ring.b, ring.c)
-    (u, v), squares, mults = quadext._pure_power((base.u + h * base.v) % n, base.v, exp, n, d, True, k)
+    (u, v), squares, mults = quadext._pure_power((base.u + h * base.v) % n, base.v, exp, n, d, quadext._fold(n, d), k)
     return QuadExtElement((u - h * v) % n, v), squares, mults
 
 
@@ -581,6 +583,71 @@ def test_window_kernel_matches_the_step_by_step_ladder():
     ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(n))
     for z in (base, QuadExtElement(0, 1)):
         assert _power(z, exp, ring, 7)[0] == _ext_pow_by_steps(z, exp, ring)
+    # moduli around the fold crossover, and at K = bits(n) boundaries, where
+    # w >> K and w mod 2^K of w < n^2 reach their extremes; the operand n - 1
+    # with c = 1 and c = n - 1 gives the largest w and c*w
+    fold = quadext._FOLD_MIN_BITS
+    moduli = [rng.getrandbits(bits) | 1 << (bits - 1) | 1 for bits in (fold - 1, fold, fold + 1)]
+    moduli += [m for K in (64, 256, 2048) for m in ((1 << K) - 1, (1 << (K - 1)) + 1)]
+    for n in moduli:
+        rings = [ExtensionRing.pure(n, c) for c in (1, n - 1, rng.randrange(n))]
+        rings += [ExtensionRing.general(n, b, c) for b, c in ((n - 1, n - 1), (rng.randrange(n), 1))]
+        exps = ((1 << 130) - 1, rng.getrandbits(160) | 1 << 159)
+        for ring in rings:
+            for base in (QuadExtElement(n - 1, n - 1), QuadExtElement(rng.randrange(n), rng.randrange(1, n))):
+                for exp in exps:
+                    want = _ext_pow_by_steps(base, exp, ring)
+                    for k in widths:
+                        assert _power(base, exp, ring, k)[0] == want, (ring, base, exp, k)
+
+
+def test_both_multiply_forms_give_the_same_values(monkeypatch):
+    """Every product by a full-size c or b folds when _FOLD_MIN_BITS is 0,
+    and none does when no modulus reaches it; the values stay the same."""
+    kernels = []
+
+    def recorded(*args):
+        power = kernel(*args)
+        kernels.append((*args[4:6], power))  # (c, ch, power)
+        return power
+
+    kernel = quadext._pure_power
+    monkeypatch.setattr(quadext, "_pure_power", recorded)
+    monkeypatch.setattr(frobenius, "_pure_power", recorded)
+
+    def run():
+        rng = random.Random(20261019)
+        folds, values = [], []
+        for bits in (8, 64, 207, 208, 209, 256, 1024):
+            n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+            rings = [
+                ExtensionRing.pure(n, rng.randrange(60, n)),
+                ExtensionRing.pure(n, n - 1),
+                ExtensionRing.pure(n, rng.randrange(2, 60), small=True),
+                ExtensionRing.general(n, rng.randrange(60, n), rng.randrange(60, n)),
+            ]
+            elements = [QuadExtElement(n - 1, n - 1), QuadExtElement(rng.randrange(n), rng.randrange(1, n))]
+            for ring in rings:
+                if ring.small_c_bits is None:
+                    folds += ring._folds if ring.b is not None else ring._folds[:1]
+                for e in elements:
+                    values.append(ext_square(e, ring))
+                    values += [ext_mul(e, f, ring) for f in elements]
+                    for exp in (rng.getrandbits(100), n + 1):
+                        values += [ext_pow(e, exp, ring, generic_squares=g) for g in (False, True)]
+            values.append(frobenius.lucas_uv(rng.randrange(n), rng.randrange(n), n + 1, n))
+        return folds, values
+
+    results = []
+    for crossover in (0, 1 << 20):
+        monkeypatch.setattr(quadext, "_FOLD_MIN_BITS", crossover)
+        kernels.clear()
+        folds, values = run()
+        # one home for the crossover: every ring and every kernel call follows it
+        assert {ch is not None for ch in folds} == {crossover == 0}
+        assert {ch is not None for c, ch, _ in kernels if c >= 60} == {crossover == 0}
+        results.append((values, [power for _, _, power in kernels]))
+    assert results[0] == results[1]
 
 
 _PRODUCT_COST = {  # (squarings, full_mults, small_mults, param_mults) of one non-scalar op
