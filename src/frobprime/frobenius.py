@@ -428,15 +428,13 @@ def _step5_from_intermediates(
 
     When steps 3-4 passed, w is a scalar, so t = w^s1 is one built-in pow
     and the usual (t != 1) chain runs entirely in the base ring.  Then t = 1
-    makes y a unit whose power y^(2^(r2-1)) = w is scalar.  ext_pow splits
-    both powers at j = r2 - 1: t = W^(2^j) * w^(s1 mod 2^j) with
-    W = w^(s1 >> j), and y^s1 = W * y^(s1 mod 2^j), a ladder of j bits that
-    takes W from the memo t left (quadext._last_power).  So a t = 1 round
-    runs one full-size pow, not two, and no second extension ladder of s1's
-    length, unless r2 exceeds half of s1's bits (n = 2^k - 1, say), where
-    the plain ladder is cheaper.  Both powers book what the plain binary
-    ladder books: ext_pow derives y^s1's scalar steps in closed form from
-    the least a with y^(2^a) scalar.
+    makes y a unit whose power y^(2^(r2-1)) = w is scalar, and y^s1 takes
+    t's high power from the ring (quadext.ExtensionRing._last_power): a
+    t = 1 round runs one full-size pow, not two, and no second extension
+    ladder of s1's length, unless r2 exceeds half of s1's bits
+    (n = 2^k - 1, say), where the plain ladder is cheaper.  Both powers
+    book what the plain binary ladder books: ext_pow derives y^s1's scalar
+    steps in closed form from the least a with y^(2^a) scalar.
     """
     one = QuadExtElement(1, 0)
     r1, s1 = two_adic_split(ring.n - 1)

