@@ -20,8 +20,11 @@ pass ``force_extension_steps=True`` to exercise them anyway.
 
 Every entry point decides n along one path.  The work that depends on n
 alone runs first and once: steps 1-2 and the B^2 shortcut (``_screen``),
-then, for the small-c variant, the nonresidue search.  Only the parameter
-draw and steps 3-5 (``_run_round``) repeat per round.
+then, for the small-c variant, the nonresidue search.  The window plan of
+the dominant ladder z^s2, s2 = (n + 1)/2^v2(n + 1), depends on n alone
+too: the first round builds it and the later rounds reuse it
+(``quadext._window_plan`` keeps the last plan).  Only the parameter draw
+and steps 3-5 (``_run_round``) repeat per round.
 ``qft`` and ``rqft`` run one round on parameters from the caller, which
 they check first.  ``run_rounds`` decides n by rounds of any of the six
 methods of ``frobprime test`` (the Fermat, strong and Lucas baselines have
@@ -264,21 +267,28 @@ def generate_qft_params(n: int, rng) -> QftParams:
     raise ParamSearchExhausted(f"no valid (b, c) for n={n} in {RETRY_CAP} draws")
 
 
-def generate_rqft_params(n: int, c: int, rng) -> RqftParams:
-    """Sample (a, b) until jacobi(b^2 - c*a^2, n) = +1, keeping the given c.
+def generate_rqft_params(n: int, c: Optional[int], rng) -> RqftParams:
+    """Sample (a, b) until jacobi(b^2 - c*a^2, n) = +1, keeping c.
 
-    The caller supplies c with jacobi(c, n) = -1 (for example from the
-    small-nonresidue search).  A zero symbol raises FactorFound; for prime
-    n about half of all (a, b) pairs are accepted, so two draws are
-    expected on average.
+    A caller's c must have jacobi(c, n) = -1 (for example from the
+    small-nonresidue search), and is checked: a zero symbol raises
+    FactorFound, any other symbol but -1 ValueError.  With c=None, c is
+    first drawn from ``rng`` by ``sample_nonresidue``, whose symbol is not
+    computed again; the draws are then those of
+    ``generate_rqft_params(n, sample_nonresidue(n, rng), rng)``.  A zero
+    jacobi(b^2 - c*a^2, n) raises FactorFound too; for prime n about half
+    of all (a, b) pairs are accepted, so two draws are expected on average.
     """
     n = modulus_value(n)
-    c %= n
-    jc = jacobi(c, n)
-    if jc == 0:
-        raise FactorFound(math.gcd(c, n))
-    if jc != -1:
-        raise ValueError("c must be a nonresidue: jacobi(c, n) = -1 required")
+    if c is None:
+        c = sample_nonresidue(n, rng)
+    else:
+        c %= n
+        jc = jacobi(c, n)
+        if jc == 0:
+            raise FactorFound(math.gcd(c, n))
+        if jc != -1:
+            raise ValueError("c must be a nonresidue: jacobi(c, n) = -1 required")
     for _ in range(RETRY_CAP):
         a = rng.randrange(1, n)
         b = rng.randrange(n)
@@ -377,7 +387,9 @@ def _run_round(
     if phases is not None:
         phases += ph
     if counter is not None:
-        counter += ph.total()
+        counter += ph.squaring_steps
+        counter += ph.multiply_steps
+        counter += ph.tail
     return verdict
 
 
@@ -659,8 +671,7 @@ def _round(n, method, rng, counter, phases, small_c, base):
         if method == "qft":
             params = generate_qft_params(n, rng)
         else:
-            c = small_c if small_c is not None else sample_nonresidue(n, rng)
-            params = generate_rqft_params(n, c, rng)
+            params = generate_rqft_params(n, small_c, rng)
     except FactorFound as found:
         return Verdict.composite(CompositeReason.JACOBI_ZERO_FACTOR, found.factor), None
     return _run_round(n, params, counter, phases, small_c is not None), params

@@ -43,6 +43,7 @@ which never changes values.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -248,7 +249,8 @@ def ext_square(
     (u + v*x)^2 = (u^2 + c*v^2) + (2uv + b*v^2)*x, with 2uv recovered from
     (u+v)^2 - u^2 - v^2; each output coefficient is reduced once, and v^2
     never before it: ``_times`` folds it through the ring's ``_fold`` of a
-    full-size b or c.  A scalar (v == 0) books exactly one squaring.
+    full-size c, and ``_plus_times`` through those of b and c from one
+    split.  A scalar (v == 0) books exactly one squaring.
     """
     n = ring.n
     u, v = e
@@ -262,10 +264,10 @@ def ext_square(
     vv = v * v
     t = u + v
     two_uv = t * t - uu - vv
-    ch, bh = ring._folds
+    ch, _ = ring._folds
     if ring.b is None:
         return QuadExtElement((uu + _times(ring.c, ch, vv, n)) % n, two_uv % n)
-    return QuadExtElement((uu + _times(ring.c, ch, vv, n)) % n, (two_uv + _times(ring.b, bh, vv, n)) % n)
+    return _plus_times(uu, two_uv, vv, ring)
 
 
 def ext_mul(
@@ -300,10 +302,10 @@ def ext_mul(
     p = u1 * u2
     q = v1 * v2
     cross = (u1 + v1) * (u2 + v2) - p - q
-    ch, bh = ring._folds
+    ch, _ = ring._folds
     if ring.b is None:
         return QuadExtElement((p + _times(ring.c, ch, q, n)) % n, cross % n)
-    return QuadExtElement((p + _times(ring.c, ch, q, n)) % n, (cross + _times(ring.b, bh, q, n)) % n)
+    return _plus_times(p, cross, q, ring)
 
 
 def _times(c: int, ch: Optional[int], w: int, n: int) -> int:
@@ -313,6 +315,19 @@ def _times(c: int, ch: Optional[int], w: int, n: int) -> int:
         return c * w
     bits = n.bit_length()
     return ch * (w >> bits) + c * (w & ((1 << bits) - 1))
+
+
+def _plus_times(u: int, v: int, w: int, ring: ExtensionRing) -> QuadExtElement:
+    """(u + c*w) + (v + b*w)*x in the general form, each coefficient reduced
+    once, with c*w and b*w as ``_times`` gives them but from one split of w:
+    ``_fold`` depends on n alone, so both fold or neither does."""
+    n, b, c = ring.n, ring.b, ring.c
+    ch, bh = ring._folds
+    if ch is None:
+        return QuadExtElement((u + c * w) % n, (v + b * w) % n)
+    bits = n.bit_length()
+    high, low = w >> bits, w & ((1 << bits) - 1)
+    return QuadExtElement((u + ch * high + c * low) % n, (v + bh * high + b * low) % n)
 
 
 def mul_by_x(e: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCounter] = None) -> QuadExtElement:
@@ -637,16 +652,28 @@ def _schedule(exp: int, k: int):
     index of the entry to multiply by after that square, or 0, as bytes.
     Width 1 is the binary ladder: exp's digits after the leading 1.
     """
-    bits = bin(exp)
     if k == 1:
-        return 1, bits[3:].encode().translate(_DIGITS)
+        return 1, bin(exp)[3:].encode().translate(_DIGITS)
+    return _window_plan(exp, k)
+
+
+#: ``_window_plan`` is a pure function of (exp, k), and a round's only
+#: windowed power is its dominant ladder z^s2, s2 = (n + 1)/2^v2(n + 1):
+#: the rounds of one n (and ``lucas_uv``'s rounds on a repeated exponent)
+#: share one plan, built once.  Width-1 schedules bypass the cache, so the
+#: round's other powers never evict that plan.  ``lru_cache`` is
+#: thread-safe, and a plan is immutable bytes, so threads may share it.
+@functools.lru_cache(maxsize=1)
+def _window_plan(exp: int, k: int) -> "tuple[int, bytes]":
+    """``_schedule`` for k > 1: the sliding windows of width k."""
+    bits = bin(exp)
     windows = _WINDOWS[k].finditer(bits, 2)
     first = next(windows)
     start = first.end()
     schedule = bytearray(len(bits) - start)
     for window in windows:
         schedule[window.end() - start - 1] = (int(window.group(), 2) + 1) >> 1
-    return (int(first.group(), 2) + 1) >> 1, schedule
+    return (int(first.group(), 2) + 1) >> 1, bytes(schedule)
 
 
 def frobenius_conjugate(e: QuadExtElement, ring: ExtensionRing) -> QuadExtElement:

@@ -175,6 +175,12 @@ def test_generated_parameters_satisfy_their_conditions():
             rp = generate_rqft_params(p, c, rng)
             assert rp.c == c
             assert jacobi((rp.b**2 - c * rp.a**2) % p, p) == 1
+    # c=None draws c by sample_nonresidue first, from the same rng
+    for n in (3, 101, 104729, 10**9 + 7):
+        for seed in range(5):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert generate_rqft_params(n, None, rng) == generate_rqft_params(n, sample_nonresidue(n, ref_rng), ref_rng)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_parameter_generation_is_deterministic_given_a_seed():
@@ -514,6 +520,21 @@ def test_run_rounds_agrees_with_an_independent_primality_oracle(n, seed):
         assert 0 <= rounds_run <= 2
         if verdict.factor is not None:
             assert 1 < verdict.factor < n and n % verdict.factor == 0, (n, method)
+
+
+def test_rqft_rounds_compute_each_symbol_once(monkeypatch):
+    # sample_nonresidue computes the drawn c's symbol; generate_rqft_params
+    # must not compute it again
+    p = nextprime(random.Random(257).getrandbits(256) | 1 << 255)
+    pairs = []
+
+    def recorded(a, n, _jacobi=frobenius.jacobi):
+        pairs.append((a, n))
+        return _jacobi(a, n)
+
+    monkeypatch.setattr(frobenius, "jacobi", recorded)
+    assert run_rounds(p, "rqft", random.Random(3), 4, OpCounter()) == (Verdict.probable_prime(), 4)
+    assert len(pairs) >= 8 and len(set(pairs)) == len(pairs), pairs
 
 
 def test_each_n_is_screened_and_searched_once_and_symbols_come_from_the_samplers(monkeypatch, capsys):

@@ -777,14 +777,17 @@ def test_the_remembered_high_power_never_changes_a_value(monkeypatch):
 def test_threads_sharing_one_ring_get_the_ladders_values():
     # More threads than cores share one ring and alternate w and y powers,
     # each thread by its own exponents, so each overwrites the ring's entry
-    # between another thread's t = w^s1 and z^s = y^s1.  A key read with
-    # another key's power would change a value.
+    # between another thread's t = w^s1 and z^s = y^s1, and each thread's
+    # dominant ladders (130-bit exponents, windows of 4 bits) evict the
+    # window plan another thread is walking.  A key read with another key's
+    # power, or a plan read for another exponent, would change a value.
     rng = random.Random(20261028)
     workers = max(4, (os.cpu_count() or 1) + 1)
     pairs = list(_memo_pairs(rng, 3, 130, "general", 3 * workers))
     ring = pairs[0][0]
     jobs = [
-        [(base, exp, _ext_pow_by_steps(base, exp, ring)) for _, w, y, exp in pairs[k::workers] for base in (w, y)]
+        [(base, exp, generic, _ext_pow_by_steps(base, exp, ring))
+         for _, w, y, exp in pairs[k::workers] for base in (w, y) for generic in (False, True)]
         for k in range(workers)
     ]
     wrong = []
@@ -792,9 +795,9 @@ def test_threads_sharing_one_ring_get_the_ladders_values():
 
     def run(work):
         for _ in range(600 // workers):
-            for base, exp, want in work:
-                if ext_pow(base, exp, ring) != want:
-                    wrong.append((base, exp))
+            for base, exp, generic, want in work:
+                if ext_pow(base, exp, ring, generic_squares=generic) != want:
+                    wrong.append((base, exp, generic))
         done.append(work)
 
     interval = sys.getswitchinterval()
@@ -809,3 +812,17 @@ def test_threads_sharing_one_ring_get_the_ladders_values():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and len(done) == len(jobs)
     assert not wrong, wrong[:3]
+
+
+def test_the_rounds_of_one_n_build_one_window_plan():
+    # The plan of the dominant ladder z^s2 depends on n alone: 4 rounds
+    # build it once and reuse it 3 times, in every form.  The round's
+    # width-1 powers (w = y^(2^(r2-1)), step 5) bypass the cache.
+    p = nextprime(random.Random(20261020).getrandbits(256) | 1 << 255)
+    for method in ("qft", "rqft", "rqft-smallc"):
+        quadext._window_plan.cache_clear()
+        assert frobenius.run_rounds(p, method, random.Random(1), 4, OpCounter()) == (
+            frobenius.Verdict.probable_prime(), 4)
+        info = quadext._window_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 3), (method, info)
+
