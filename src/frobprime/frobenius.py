@@ -8,8 +8,8 @@ six steps, strictly in order:
 1. trial division by primes <= min(B, isqrt(n)) with B = 50000;
 2. perfect-square check;
 3. z^((n+1)/2) must be a scalar (x-coefficient 0);
-4. z^(n+1) must equal the scalar target (-c for the general form,
-   b^2 - c*a^2 for the pure form);
+4. z^(n+1) must equal the norm N(z) (-c for z = x in the general form,
+   b^2 - c*a^2 for z = a*x + b in the pure form);
 5. with n^2 - 1 = 2^r * s (s odd): z^s = 1, or z^(2^j * s) = -1 for some
    0 <= j <= r - 2;
 6. otherwise: probable prime.
@@ -23,7 +23,7 @@ alone runs first and once: steps 1-2 and the B^2 shortcut (``_screen``),
 then, for the small-c variant, the nonresidue search.  The window plan of
 the dominant ladder z^s2, s2 = (n + 1)/2^v2(n + 1), depends on n alone
 too: the first round builds it and the later rounds reuse it
-(``quadext._window_plan`` keeps the last plan).  Only the parameter draw
+(``quadext._window_plan`` keeps the last two plans).  Only the parameter draw
 and steps 3-5 (``_run_round``) repeat per round.
 ``qft`` and ``rqft`` run one round on parameters from the caller, which
 they check first.  ``run_rounds`` decides n by rounds of any of the six
@@ -54,8 +54,8 @@ from .arith import (
     two_adic_split,
 )
 from . import nonresidue
-from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_pow, ext_square
-from .quadext import _fold, _pure_form, _pure_power, _window_width
+from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_norm, ext_pow, ext_square
+from .quadext import _fold, _levels, _pure_form, _pure_power, _remember, _window_width
 
 __all__ = [
     "RETRY_CAP",
@@ -369,21 +369,19 @@ def _run_round(
 ) -> Verdict:
     """Steps 3-5 for parameters known to be valid for n.
 
-    Builds the ring, the test element and the step-4 target from the
-    parameters: z = x and -c for the general form, z = a*x + b and
-    b^2 - c*a^2 for the pure form.  The round books into fresh buckets,
-    which are then added to ``phases`` and ``counter``, so callers may
-    share both across runs.
+    Builds the ring and the test element from the parameters: z = x in
+    the general form, z = a*x + b in the pure form.  The round books into
+    fresh buckets, which are then added to ``phases`` and ``counter``, so
+    callers may share both across runs.
     """
     if isinstance(params, QftParams):
         ring = ExtensionRing.general(n, params.b, params.c)
-        z, target = QuadExtElement(0, 1), (n - ring.c) % n
+        z = QuadExtElement(0, 1)
     else:
         ring = ExtensionRing.pure(n, params.c, small=small_c)
-        a, b = params.a % n, params.b % n
-        z, target = QuadExtElement(b, a), (b * b - ring.c * a * a) % n
+        z = QuadExtElement(params.b % n, params.a % n)
     ph = PhaseCounters.fresh()
-    verdict = _extension_steps(z, ring, target, ph)
+    verdict = _extension_steps(z, ring, ph)
     if phases is not None:
         phases += ph
     if counter is not None:
@@ -393,27 +391,38 @@ def _run_round(
     return verdict
 
 
-def _extension_steps(
-    z: QuadExtElement,
-    ring: ExtensionRing,
-    step4_target: int,
-    ph: PhaseCounters,
-) -> Verdict:
+def _extension_steps(z: QuadExtElement, ring: ExtensionRing, ph: PhaseCounters) -> Verdict:
     """Steps 3-5 on a prepared ring/element; assumes steps 1-2 already passed.
 
     Step 3's z^((n+1)/2) is the dominant ladder: with n + 1 = 2^r2 * s2, y =
     z^s2 and then w = y^(2^(r2-1)), the squaring-step count of a direct
     (n+1)/2 ladder.  Both powers book every step at the contract cost
-    (generic_squares), even where an intermediate power is scalar.
+    (generic_squares), even where an intermediate power is scalar.  Step 4
+    checks z^(n+1) = w^2 against the norm N(z): -c for z = x in the general
+    form, b^2 - c*a^2 for z = a*x + b in the pure form.
+
+    With n - 1 = 2^r1 * s1, the ladder for y also hands back its prefix
+    P = z^(s2 >> r1), r1 bits before its end.  Once step 4 passes, step 5's
+    high power W = w^(s1 >> (r2-1)) is N(P) times w or 1, with no pow (see
+    ``_step5_from_intermediates``), and goes where step 5 looks for it.
+    Where ``quadext._levels`` gives 0 for s1 (n = 2^k - 1, say), no W is
+    derived.
     """
-    r2, s2 = two_adic_split(ring.n + 1)
-    y = ext_pow(z, s2, ring, ph.squaring_steps, ph.multiply_steps, generic_squares=True)
+    n = ring.n
+    r1, s1 = two_adic_split(n - 1)
+    r2, s2 = two_adic_split(n + 1)
+    derive = _levels(n, s1) > 0
+    y, prefix = ext_pow(z, s2, ring, ph.squaring_steps, ph.multiply_steps, generic_squares=True,
+                        prefix_shift=r1 if derive else 0)
     w = ext_pow(y, 1 << (r2 - 1), ring, ph.squaring_steps, generic_squares=True)
     if w.v != 0:
         return Verdict.composite(CompositeReason.STEP3)
     q = ext_square(w, ring, ph.tail)  # z^(n+1), one scalar squaring
-    if q.u != step4_target:
+    if q.u != ext_norm(z, ring):
         return Verdict.composite(CompositeReason.STEP4)
+    if derive:
+        high = s1 >> (r2 - 1)
+        _remember(ring, w.u, high, ext_norm(prefix, ring) * (w.u if high & 1 else 1) % n)
     if not _step5_from_intermediates(y, w, r2, ring, ph.tail):
         return Verdict.composite(CompositeReason.STEP5)
     return Verdict.probable_prime()
@@ -438,15 +447,22 @@ def _step5_from_intermediates(
     * If t = 1, every level j >= r2 - 1 equals 1, so only z^s itself and the
       levels j <= r2 - 2 matter; z^s = y^s1 is recomputed directly.
 
-    When steps 3-4 passed, w is a scalar, so t = w^s1 is one built-in pow
-    and the usual (t != 1) chain runs entirely in the base ring.  Then t = 1
-    makes y a unit whose power y^(2^(r2-1)) = w is scalar, and y^s1 takes
-    t's high power from the ring (quadext.ExtensionRing._last_power): a
-    t = 1 round runs one full-size pow, not two, and no second extension
-    ladder of s1's length, unless r2 exceeds half of s1's bits
-    (n = 2^k - 1, say), where the plain ladder is cheaper.  Both powers
-    book what the plain binary ladder books: ext_pow derives y^s1's scalar
-    steps in closed form from the least a with y^(2^a) scalar.
+    When steps 3-4 passed, w is a scalar, so t = w^s1 is scalar work and the
+    usual (t != 1) chain runs entirely in the base ring.  Then t = 1 makes y
+    a unit whose power y^(2^(r2-1)) = w is scalar, and y^s1 is W *
+    y^(s1 mod 2^(r2-1)), a ladder of r2 - 1 bits.  Both powers split at
+    j = r2 - 1 and read the high power W = w^(s1 >> j) from the ring
+    (quadext.ExtensionRing._last_power).  A round puts W there before this
+    runs (``_extension_steps``): step 4 has shown z^(n+1) = N(z), and the
+    norm is multiplicative mod any n, so with q = s1 >> r2 and b bit j of
+    s1, W = w^(2q) * w^b = N(z)^q * w^b = N(z^q) * w^b, and z^q is the
+    dominant ladder's prefix.  So t costs pows of at most r2 bits, and a
+    round runs no full-size pow, unless r2 reaches half of s1's bits
+    (n = 2^k - 1, say): there no W is derived, t is one whole pow, and y^s1
+    is the plain ladder.  Called on its own (``step5_chain``), t computes W
+    and leaves it for y^s1.  Both powers book what the plain binary ladder
+    books: ext_pow derives y^s1's scalar steps in closed form from the
+    least a with y^(2^a) scalar.
     """
     one = QuadExtElement(1, 0)
     r1, s1 = two_adic_split(ring.n - 1)
@@ -756,7 +772,7 @@ def lucas_uv(P: int, Q: int, k: int, n: int, counter: Optional[OpCounter] = None
             return 0, 2 % n
         raise ValueError("lucas_uv requires k >= 0")
     h, d = _pure_form(n, P, -Q)
-    (u, U), _, _ = _pure_power(h, 1, k, n, d, _fold(n, d), _window_width(k.bit_length()))
+    u, U = _pure_power(h, 1, k, n, d, _fold(n, d), _window_width(k.bit_length()))[0]
     if counter is not None:
         steps = k.bit_length() - 1
         counter.full_mults += steps + 6 * (k.bit_count() - 1)

@@ -20,9 +20,15 @@ rows and (without ``generic_squares``) the number of steps whose
 accumulator was scalar.  Its executed code differs: outside the
 dominant ladder a scalar base is the built-in ``pow``, and so is all but a
 few bits of the power of a unit base with a scalar power e^(2^a).  Both
-split at the top level j = v2(n + 1) - 1, and step 5's z^s = y^s1 takes
-the high power its t = w^s1 left on the ring (``ExtensionRing._last_power``):
-one full-size ``pow`` per round, not two, with w = y^(2^j).  Every
+split at the top level j = v2(n + 1) - 1 and read the high power from the
+ring (``ExtensionRing._last_power``).  In a round that passes step 4,
+step 5's t = w^s1 and z^s = y^s1, with w = y^(2^j), share the high power
+W = w^(s1 >> j), and ``frobenius._extension_steps`` puts it there without
+a ``pow``: step 4 gives z^(n+1) = N(z), and the norm N is multiplicative
+mod any n, so W = N(z^q) * w^b with q = s1 >> v2(n + 1) and b bit j of
+s1, and z^q is the dominant ladder's prefix (``ext_pow``'s
+``prefix_shift``).  Only an n where v2(n + 1) reaches half of s1's bits
+(n = 2^k - 1, say; see ``_levels``) runs t as one whole ``pow``.  Every
 other power runs one kernel, in the pure form, on local ints, reducing
 once per output coefficient: 2 reductions per square in every form, since
 c*v^2 is never reduced before the sum it joins.  A small c multiplies v^2
@@ -167,14 +173,19 @@ class ExtensionRing:
     _folds: "tuple[Optional[int], Optional[int]]" = field(init=False, repr=False, compare=False)
     #: This form's rows of ``_STEP_COSTS``.
     _steps: _StepCosts = field(init=False, repr=False, compare=False)
-    #: ((base, exp), base^exp mod n) for the last high power that
-    #: ``_remembered_pow`` computed in this ring: step 5's share.  Step 5
-    #: runs t = w^s1 and, when t = 1, z^s = y^s1 with w = y^(2^j),
-    #: j = v2(n + 1) - 1.  ``ext_pow`` splits both at j: t = W^(2^j) *
-    #: w^(s1 mod 2^j) with the high power W = w^(s1 >> j), and y^s1 =
-    #: W * y^(s1 mod 2^j), so z^s finds the W that t left here and a round
-    #: makes one full-size ``pow``, not two.  ``frobenius._run_round`` builds
-    #: one ring per round, so the entry lives as long as the round.  It is
+    #: ((base, exp), base^exp mod n) for the last high power stored in
+    #: this ring (``_remember``): step 5's share.  Step 5 runs t = w^s1
+    #: and, when t = 1, z^s = y^s1 with w = y^(2^j), j = v2(n + 1) - 1.
+    #: ``ext_pow`` splits both at j: t = W^(2^j) * w^(s1 mod 2^j) with the
+    #: high power W = w^(s1 >> j), and y^s1 = W * y^(s1 mod 2^j), and both
+    #: read W here.  Once step 4 has shown z^(n+1) = N(z),
+    #: ``frobenius._extension_steps`` stores W = N(z^q) * w^(bit j of s1),
+    #: q = s1 >> (j + 1), from the dominant ladder's prefix z^q: N is
+    #: multiplicative mod any n, so N(z^q) = z^((n+1) q) = w^(2q).  A round
+    #: then makes no full-size ``pow``; where ``_levels`` gives 0 for s1
+    #: (n = 2^k - 1, say), nothing is stored and t runs as one whole
+    #: ``pow``.  ``frobenius._run_round`` builds one ring per round, so
+    #: the entry lives as long as the round.  It is
     #: written and read as one tuple, so a thread sharing the ring pairs a
     #: key with its own value; and a value is a pure function of its key,
     #: so any hit is right.
@@ -353,7 +364,8 @@ def ext_pow(
     mult_counter: Optional[OpCounter] = None,
     *,
     generic_squares: bool = False,
-) -> QuadExtElement:
+    prefix_shift: Optional[int] = None,
+):
     """e**exp, booked as the plain left-to-right binary ladder of ext_square steps.
 
     The booking is what the step-by-step ladder of ``ext_square``,
@@ -386,6 +398,10 @@ def ext_pow(
     multiply steps by precomputed odd powers instead of one per set bit.  A
     window never forms the binary ladder's prefix powers, which is why this
     booking tracks no scalar accumulator.  Every other ladder has width 1.
+    With ``prefix_shift=k``, 0 <= k < bits(exp), the dominant ladder's
+    windows end at bit k, its last k bits run as binary steps, and the call
+    returns (e**exp, e**(exp >> k)), the second read off the accumulator k
+    steps before the end; the booking is exp's, as without it.
 
     Otherwise the binary ladder counts the steps whose accumulator is
     scalar.  A base whose power e^(2^a) is a unit scalar for a small a
@@ -400,6 +416,8 @@ def ext_pow(
     """
     if exp < 0:
         raise ValueError("ext_pow requires a nonnegative exponent")
+    if prefix_shift is not None and not (generic_squares and 0 <= prefix_shift < exp.bit_length()):
+        raise ValueError("prefix_shift needs generic_squares and 0 <= prefix_shift < bits(exp)")
     n = ring.n
     if exp == 0:
         return QuadExtElement(1 % n, 0)
@@ -418,11 +436,11 @@ def ext_pow(
     yu = (u + h * v) % n
     scalar_squares = scalar_mults = 0
     if generic_squares:
-        acc = _pure_power(yu, v, exp, n, d, dh, _window_width(steps + 1))[0]
+        acc, _, _, prefix = _pure_power(yu, v, exp, n, d, dh, _window_width(steps + 1), low=prefix_shift or 0)
     else:
         split = _scalar_power(u, v, exp, ring)
         if split is None:
-            acc, scalar_squares, scalar_mults = _pure_power(yu, v, exp, n, d, dh, 1)
+            acc, scalar_squares, scalar_mults, _ = _pure_power(yu, v, exp, n, d, dh, 1)
         else:
             a, j, s = split
             high = _remembered_pow(s, exp >> j, ring)
@@ -444,7 +462,9 @@ def ext_pow(
         else:
             _book(mult_counter, _SCALAR_TIMES_ELEMENT, ring, scalar_mults)
             _book(mult_counter, ring._steps.product, ring, mults - scalar_mults)
-    return acc
+    if prefix_shift is None:
+        return acc
+    return acc, QuadExtElement((prefix.u - h * prefix.v) % n, prefix.v)
 
 
 def _levels(n: int, exp: int) -> int:
@@ -459,27 +479,32 @@ def _levels(n: int, exp: int) -> int:
 
 def _remembered_pow(base: int, exp: int, ring: ExtensionRing) -> int:
     """base^exp mod n, from ``ring._last_power`` when it holds that key, else stored there."""
-    key = (base, exp)
     last_key, power = ring._last_power
-    if last_key != key:
+    if last_key != (base, exp):
         power = pow(base, exp, ring.n)
-        object.__setattr__(ring, "_last_power", (key, power))
+        _remember(ring, base, exp, power)
     return power
+
+
+def _remember(ring: ExtensionRing, base: int, exp: int, power: int) -> None:
+    """Store power = base^exp mod n as ``ring._last_power``, under (base, exp)."""
+    object.__setattr__(ring, "_last_power", ((base, exp), power))
 
 
 def _scalar_pow(u: int, exp: int, ring: ExtensionRing) -> int:
     """u^exp mod n, split at the top level j = v2(n + 1) - 1.
 
     u^exp = W^(2^j) * u^(exp mod 2^j) with the high power W = u^(exp >> j),
-    which ``_remembered_pow`` stores in ``ring._last_power`` (step 5's share)
-    under (u, exp >> j).  A scalar u first peeks under (u^(2^j), exp >> j),
-    j more squarings, and on a hit u^exp is W * u^(exp mod 2^j).  Powers
-    with j < 1, or with too few bits for ``_levels``, run whole.
+    which ``_remembered_pow`` reads from ``ring._last_power`` (step 5's
+    share) under (u, exp >> j), or computes and stores there.  A scalar u
+    first peeks under (u^(2^j), exp >> j), j more squarings, and on a hit
+    u^exp is W * u^(exp mod 2^j).  At j = 0 (v2(n + 1) = 1) u^exp is W
+    itself.  Powers with too few bits for ``_levels`` run whole.
     """
     n = ring.n
     j = _levels(n, exp) - 1
     if j < 1:
-        return pow(u, exp, n)
+        return pow(u, exp, n) if j < 0 else _remembered_pow(u, exp, ring)
     high, low = exp >> j, pow(u, exp & ((1 << j) - 1), n)
     last_key, power = ring._last_power
     if last_key == (pow(u, 1 << j, n), high):
@@ -544,11 +569,15 @@ def _pure_form(n: int, b: int, c: int) -> "tuple[int, int]":
     return h, (h * h + c) % n
 
 
-def _pure_power(u: int, v: int, exp: int, n: int, c: int, ch: Optional[int], k: int):
+def _pure_power(u: int, v: int, exp: int, n: int, c: int, ch: Optional[int], k: int, *, low: int = 0):
     """u + v*x raised to exp in Z[x]/(n, x^2 - c) by left-to-right sliding
     windows of width k, with exp >= 1.
 
-    Returns (power, squaring steps on a scalar, multiply steps on a scalar).
+    Returns (power, squaring steps on a scalar, multiply steps on a scalar,
+    prefix), where the prefix is the power of exp >> low, 0 <= low <
+    bits(exp): the windows end at bit low, and the last low bits run as
+    binary steps, so the accumulator passes through the prefix (the power
+    itself for low = 0).
     This is the one power kernel: ``ext_pow`` and ``frobenius.lucas_uv``
     reach it from the general form through ``_pure_form``, x = y + b/2.
     Width 1 is the binary ladder; for k in 4..7 the odd powers z, z^3, ...,
@@ -569,34 +598,39 @@ def _pure_power(u: int, v: int, exp: int, n: int, c: int, ch: Optional[int], k: 
         for _ in range((1 << (k - 1)) - 1):
             u, v = (u * su + v * sc) % n, (u * sv + v * su) % n
             table.append((u, v, u + v))
-    first, schedule = _schedule(exp, k)
+    first, schedule = _schedule(exp, k, low)
     u, v, _ = table[first]
     bits = n.bit_length()
     mask = (1 << bits) - 1
     scalar_squares = scalar_mults = 0
-    for i in schedule:
-        if not v:
-            scalar_squares += 1
-        uu = u * u
-        vv = v * v
-        t = u + v
-        v = (t * t - uu - vv) % n
-        if ch is None:
-            u = (uu + c * vv) % n
-        else:
-            u = (uu + ch * (vv >> bits) + c * (vv & mask)) % n
-        if i:
+    cut = len(schedule) - low
+    powers = []
+    for part in (schedule[:cut], schedule[cut:]):
+        for i in part:
             if not v:
-                scalar_mults += 1
-            zu, zv, zs = table[i]
-            p = u * zu
-            q = v * zv
-            v = ((u + v) * zs - p - q) % n
+                scalar_squares += 1
+            uu = u * u
+            vv = v * v
+            t = u + v
+            v = (t * t - uu - vv) % n
             if ch is None:
-                u = (p + c * q) % n
+                u = (uu + c * vv) % n
             else:
-                u = (p + ch * (q >> bits) + c * (q & mask)) % n
-    return QuadExtElement(u, v), scalar_squares, scalar_mults
+                u = (uu + ch * (vv >> bits) + c * (vv & mask)) % n
+            if i:
+                if not v:
+                    scalar_mults += 1
+                zu, zv, zs = table[i]
+                p = u * zu
+                q = v * zv
+                v = ((u + v) * zs - p - q) % n
+                if ch is None:
+                    u = (p + c * q) % n
+                else:
+                    u = (p + ch * (q >> bits) + c * (q & mask)) % n
+        powers.append(QuadExtElement(u, v))
+    prefix, power = powers
+    return power, scalar_squares, scalar_mults, prefix
 
 
 #: Bit size of n from which ``_fold`` folds products by a full-size c.
@@ -644,36 +678,41 @@ def _window_width(bits: int) -> int:
     return min(_WINDOWS, key=lambda k: (1 << (k - 1)) + bits / (k + 1))
 
 
-def _schedule(exp: int, k: int):
+def _schedule(exp: int, k: int, low: int):
     """exp's left-to-right sliding windows of width k, as the kernels walk them.
 
     The kernels' table holds z^(2i - 1) at index i >= 1.  Returns the first
     window's index and, per later bit of exp (one squaring step each), the
     index of the entry to multiply by after that square, or 0, as bytes.
-    Width 1 is the binary ladder: exp's digits after the leading 1.
+    Width 1 is the binary ladder: exp's digits after the leading 1.  No
+    window spans bit low: the last low bits are binary steps.
     """
     if k == 1:
         return 1, bin(exp)[3:].encode().translate(_DIGITS)
-    return _window_plan(exp, k)
+    return _window_plan(exp, k, low)
 
 
-#: ``_window_plan`` is a pure function of (exp, k), and a round's only
+#: ``_window_plan`` is a pure function of (exp, k, low), and a round's only
 #: windowed power is its dominant ladder z^s2, s2 = (n + 1)/2^v2(n + 1):
-#: the rounds of one n (and ``lucas_uv``'s rounds on a repeated exponent)
-#: share one plan, built once.  Width-1 schedules bypass the cache, so the
-#: round's other powers never evict that plan.  ``lru_cache`` is
-#: thread-safe, and a plan is immutable bytes, so threads may share it.
-@functools.lru_cache(maxsize=1)
-def _window_plan(exp: int, k: int) -> "tuple[int, bytes]":
-    """``_schedule`` for k > 1: the sliding windows of width k."""
-    bits = bin(exp)
+#: the rounds of one n share one plan, built once.  ``lucas_uv``'s rounds
+#: on one n alternate between the exponents n - 1 and n + 1, as the drawn
+#: discriminant's symbol is -1 or +1, so the cache keeps two plans.
+#: Width-1 schedules bypass the cache, so the round's other powers never
+#: evict a plan.  ``lru_cache`` is thread-safe, and a plan is immutable
+#: bytes, so threads may share it.
+@functools.lru_cache(maxsize=2)
+def _window_plan(exp: int, k: int, low: int) -> "tuple[int, bytes]":
+    """``_schedule`` for k > 1: the sliding windows of width k over exp >> low,
+    then the low bits of exp, one binary step each."""
+    bits = bin(exp >> low)
     windows = _WINDOWS[k].finditer(bits, 2)
     first = next(windows)
     start = first.end()
     schedule = bytearray(len(bits) - start)
     for window in windows:
         schedule[window.end() - start - 1] = (int(window.group(), 2) + 1) >> 1
-    return (int(first.group(), 2) + 1) >> 1, bytes(schedule)
+    tail = bin(exp)[len(bits):].encode().translate(_DIGITS)
+    return (int(first.group(), 2) + 1) >> 1, bytes(schedule) + tail
 
 
 def frobenius_conjugate(e: QuadExtElement, ring: ExtensionRing) -> QuadExtElement:

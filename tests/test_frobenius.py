@@ -783,28 +783,32 @@ def _count_pows(monkeypatch):
     return exps
 
 
-def test_a_t_equal_1_round_runs_one_full_size_pow(monkeypatch):
-    # v2(p + 1) = 3, so j = r2 - 1 = 2.  A t = 1 round has a < j, for at
-    # a = j the scalar w = y^(2^j) has no square root in F_p and t = -1: so
-    # y is a scalar (a = 0) or y^2 is not but y^4 = w is (a = 1, j - a = 1
-    # squaring from y's probe to w).  z^s = y^s1 takes the high power
-    # W = w^(s1 >> j) that t = w^s1 left on the round's ring, so a round
-    # with t = 1 makes one built-in pow with an exponent of more than
-    # bits(p)/2 bits, like a round with t != 1.
+def test_a_round_on_a_non_mersenne_n_runs_no_full_size_pow(monkeypatch):
+    # Step 5's high power W = w^(s1 >> (r2-1)) comes from the norm of the
+    # dominant ladder's prefix, so no round makes a built-in pow with an
+    # exponent of more than bits(p)/2 bits: not t = w^s1, nor z^s = y^s1
+    # when t = 1.  v2(p + 1) = 1 with p = 5 mod 8 (r1 = 2) gives t = 1 in
+    # about a quarter of the rounds, and t = w^s1 reads W whole; v2(p + 1) = 3
+    # splits t and z^s at j = 2, where a t = 1 round has y scalar (a = 0) or
+    # y^2 not but y^4 = w scalar (a = 1), since at a = j, t = -1.
     exps = _count_pows(monkeypatch)
     rng = random.Random(20261025)
-    p = _prime_with_v2(rng, 3, 256)
+    p1 = _prime_with_v2(rng, 1, 256)
+    while p1 % 8 != 5:
+        p1 = _prime_with_v2(rng, 1, 256)
     forms = ("general", "pure", "pure-small")
     seen = set()
-    for i in range(240):
-        form = forms[i % 3]
-        params, small, a, t = _drawn_round(p, form, rng)
-        exps.clear()
-        assert frobenius._run_round(p, params, None, small_c=small).is_probable_prime
-        assert sum(e.bit_length() > p.bit_length() // 2 for e in exps) == 1, (form, a, t, exps)
-        if t == 1:
-            seen.add((form, a))
-    assert seen == {(form, a) for form in forms for a in range(2)}, seen
+    for p in (p1, _prime_with_v2(rng, 3, 256)):
+        r2 = two_adic_split(p + 1)[0]
+        for i in range(150):
+            form = forms[i % 3]
+            params, small, a, t = _drawn_round(p, form, rng)
+            exps.clear()
+            assert frobenius._run_round(p, params, None, small_c=small).is_probable_prime
+            assert all(e.bit_length() <= p.bit_length() // 2 for e in exps), (p, form, a, t, exps)
+            seen.add((r2, form, a if t == 1 else None))
+    want = {(r2, form, a) for form in forms for r2, a in ((1, None), (1, 0), (3, None), (3, 0), (3, 1))}
+    assert seen == want, seen ^ want
 
 
 def test_a_repeated_round_makes_the_same_pows(monkeypatch):
@@ -825,27 +829,24 @@ def test_a_repeated_round_makes_the_same_pows(monkeypatch):
         assert runs[0] == runs[1], (forms[i % 3], runs)
 
 
-def test_rounds_with_r2_1_or_a_mersenne_n_run_t_as_one_whole_pow(monkeypatch):
-    # r2 = 1 leaves nothing to split, and n = 2^k - 1 has 2 * v2(n + 1) >=
-    # bits(s1): t = w^s1 is one pow of the whole exponent, nothing is
-    # remembered, and a Mersenne t = 1 round runs z^s on the kernel.
+def test_a_mersenne_round_runs_t_as_one_whole_pow(monkeypatch):
+    # n = 2^k - 1 has s2 >> r1 = 0 and 2 * v2(n + 1) >= bits(s1): no high
+    # power is derived or remembered, t = w^s1 is one pow of the whole
+    # exponent, and a t = 1 round runs z^s on the kernel.
     exps = _count_pows(monkeypatch)
     rng = random.Random(20261026)
-    p = _prime_with_v2(rng, 1, 256)
-    while p % 8 != 5:  # r1 = 2: t = 1 in about a quarter of the rounds
-        p = _prime_with_v2(rng, 1, 256)
-    for n in (p, 2**127 - 1):
-        s1 = two_adic_split(n - 1)[1]
-        t_one = 0
-        for i in range(30):
-            params, small, _, t = _drawn_round(n, ("general", "pure", "pure-small")[i % 3], rng)
-            exps.clear()
-            assert frobenius._run_round(n, params, None, small_c=small).is_probable_prime
-            assert exps == [s1], (n, exps)
-            ring, z = _round_ring(n, params, small)
-            assert step5_chain(z, ring) and ring._last_power == (None, None)
-            t_one += t == 1
-        assert t_one >= 3, (n, t_one)
+    n = 2**127 - 1
+    s1 = two_adic_split(n - 1)[1]
+    t_one = 0
+    for i in range(30):
+        params, small, _, t = _drawn_round(n, ("general", "pure", "pure-small")[i % 3], rng)
+        exps.clear()
+        assert frobenius._run_round(n, params, None, small_c=small).is_probable_prime
+        assert exps == [s1], exps
+        ring, z = _round_ring(n, params, small)
+        assert step5_chain(z, ring) and ring._last_power == (None, None)
+        t_one += t == 1
+    assert t_one >= 3, t_one
 
 
 def _composite_tail_elements(n, rng, count):
@@ -890,6 +891,92 @@ def test_step5_tail_matches_the_ladders_on_chernick_and_p_2p_minus_1_composites(
     # r2 = 1 and z^s is never needed; for p(2p-1), z^s ran through a split
     # at y^(2^a), a >= 1.
     assert min(scalar_w.values()) >= 50 and split >= 20, (scalar_w, split)
+
+
+def _high_power_rounds(rng):
+    """(family, ring, z) for rounds of steps 3-5 in all three forms: drawn
+    rounds on primes with v2(p + 1) from 1 to 8 and on 2^127 - 1, elements
+    of Chernick and p(2p - 1) composites that often pass steps 3-4, and at
+    n = 35 every element with c = 2 and z = x in every general ring, whose
+    forced rounds have liars."""
+    forms = ("general", "pure", "pure-small")
+    for i in range(8 * 3 * 6):
+        p = _prime_with_v2(rng, 1 + i % 8, rng.choice((40, 130)))
+        params, small, _, _ = _drawn_round(p, forms[i % 3], rng)
+        yield "prime", *_round_ring(p, params, small)
+    for i in range(12):
+        params, small, _, _ = _drawn_round(2**127 - 1, forms[i % 3], rng)
+        yield "mersenne", *_round_ring(2**127 - 1, params, small)
+    composites = _chernick_carmichaels(2)
+    p = TRIAL_DIVISION_BOUND
+    while len(composites) < 4:
+        p = nextprime(p)
+        if isprime(2 * p - 1) and p * (2 * p - 1) % 8 == 7:
+            composites.append(p * (2 * p - 1))
+    for n in composites:
+        for form in forms:
+            if form == "general":
+                ring = ExtensionRing.general(n, rng.randrange(n), rng.randrange(1, n))
+            else:
+                ring = ExtensionRing.pure(n, rng.randrange(2, 60), small=form == "pure-small")
+            for z, e in _composite_tail_elements(n, rng, 40):
+                yield "composite", ring, ext_pow(z, e, ring)
+    for small in (False, True):
+        ring = ExtensionRing.pure(35, 2, small=small)
+        for a in range(35):
+            for b in range(35):
+                yield "n = 35", ring, QuadExtElement(b, a)
+    for b in range(35):
+        for c in range(35):
+            yield "n = 35", ExtensionRing.general(35, b, c), QuadExtElement(0, 1)
+
+
+def test_the_ladder_prefix_gives_step_5s_high_power(monkeypatch):
+    # With n - 1 = 2^r1 * s1 and n + 1 = 2^r2 * s2, the dominant ladder
+    # hands back P = z^(s2 >> r1), and a round that passes step 4 remembers
+    # W = N(P) * w^b as w^(s1 >> (r2 - 1)), for prime and composite n alike.
+    # n = 2^127 - 1 derives nothing.  Verdicts are step5_naive's.
+    prefixes, remembered = [], []
+    ladder, remember = frobenius.ext_pow, frobenius._remember
+
+    def recorded_pow(*args, **kwargs):
+        power = ladder(*args, **kwargs)
+        if kwargs.get("prefix_shift") is not None:
+            prefixes.append((kwargs["prefix_shift"], power[1]))
+        return power
+
+    def recorded_remember(ring, *entry):
+        remembered.append(entry)
+        remember(ring, *entry)
+
+    monkeypatch.setattr(frobenius, "ext_pow", recorded_pow)
+    monkeypatch.setattr(frobenius, "_remember", recorded_remember)
+    passed = {}
+    for family, ring, z in _high_power_rounds(random.Random(20261030)):
+        n = ring.n
+        r1, s1 = two_adic_split(n - 1)
+        r2, s2 = two_adic_split(n + 1)
+        derives = 2 * r2 < s1.bit_length()
+        assert derives == (family != "mersenne")
+        prefixes.clear()
+        remembered.clear()
+        verdict = frobenius._extension_steps(z, ring, PhaseCounters.fresh())
+        shift, prefix = prefixes.pop()
+        assert (shift, prefixes) == (r1 if derives else 0, [])
+        assert prefix == _ext_pow_by_steps(z, s2 >> shift, ring), (ring, z)
+        if verdict.reason in (CompositeReason.STEP3, CompositeReason.STEP4):
+            assert remembered == []
+            continue
+        w = _ext_pow_by_steps(z, (n + 1) >> 1, ring)
+        high = s1 >> (r2 - 1)
+        assert remembered == ([(w.u, high, pow(w.u, high, n))] if derives else []), (ring, z)
+        assert verdict.is_probable_prime == step5_naive(z, ring), (ring, z)
+        key = (family, r2 if family == "prime" else None, verdict.is_probable_prime)
+        passed[key] = passed.get(key, 0) + 1
+    want = {("prime", k, True) for k in range(1, 9)} | {("mersenne", None, True)}
+    want |= {(family, None, ok) for family in ("composite", "n = 35") for ok in (False, True)}
+    assert set(passed) == want, passed
+    assert min(passed.values()) >= 5, passed
 
 
 def test_step5_chain_matches_the_ladders_with_a_non_scalar_w():
@@ -1164,9 +1251,9 @@ def test_lucas_uv_and_ext_pow_share_the_window_crossover(monkeypatch):
     widths, kernel = {"lucas_uv": [], "ext_pow": []}, quadext._pure_power
 
     def recorder(caller):
-        def recorded(*args):
+        def recorded(*args, **kwargs):
             widths[caller].append((args[2].bit_length(), args[-1]))
-            return kernel(*args)
+            return kernel(*args, **kwargs)
 
         return recorded
 

@@ -519,9 +519,9 @@ def _power(base, exp, ring, k):
     n = ring.n
     if ring.b is None:
         ch = None if ring.small_c_bits is not None else quadext._fold(n, ring.c)
-        return quadext._pure_power(*base, exp, n, ring.c, ch, k)
+        return quadext._pure_power(*base, exp, n, ring.c, ch, k)[:3]
     h, d = quadext._pure_form(n, ring.b, ring.c)
-    (u, v), squares, mults = quadext._pure_power((base.u + h * base.v) % n, base.v, exp, n, d, quadext._fold(n, d), k)
+    (u, v), squares, mults, _ = quadext._pure_power((base.u + h * base.v) % n, base.v, exp, n, d, quadext._fold(n, d), k)
     return QuadExtElement((u - h * v) % n, v), squares, mults
 
 
@@ -607,8 +607,8 @@ def test_both_multiply_forms_give_the_same_values(monkeypatch):
     and none does when no modulus reaches it; the values stay the same."""
     kernels = []
 
-    def recorded(*args):
-        power = kernel(*args)
+    def recorded(*args, **kwargs):
+        power = kernel(*args, **kwargs)
         kernels.append((*args[4:6], power))  # (c, ch, power)
         return power
 
@@ -666,10 +666,10 @@ def test_generic_ext_pow_books_every_step_at_the_contract_cost(monkeypatch):
     windows, case = [], {}
     kernel = quadext._pure_power
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         if args[-1] > 1:
             windows.append((case["form"], case["is_x"], args[2].bit_length()))
-        return kernel(*args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(quadext, "_pure_power", recorded)
     rng = random.Random(20261020)
@@ -826,3 +826,57 @@ def test_the_rounds_of_one_n_build_one_window_plan():
         info = quadext._window_plan.cache_info()
         assert (info.misses, info.hits) == (1, 3), (method, info)
 
+
+
+def test_lucas_rounds_on_one_n_keep_both_window_plans():
+    # A lucas round's exponent is n + 1 or n - 1 as jacobi(D, n) is -1 or +1:
+    # four rounds whose symbols alternate build two plans and reuse both.
+    rng = random.Random(20261031)
+    p = nextprime(rng.getrandbits(256) | 1 << 255)
+    pairs = []
+    while len(pairs) < 4:
+        P, Q = rng.randrange(1, p), rng.randrange(1, p)
+        if jacobi((P * P - 4 * Q) % p, p) == (-1, 1)[len(pairs) % 2]:
+            pairs.append((P, Q))
+    quadext._window_plan.cache_clear()
+    for P, Q in pairs:
+        assert frobenius.lucas_test(p, P, Q).is_probable_prime
+    info = quadext._window_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 2), info
+
+
+def test_the_dominant_ladder_hands_back_the_prefix_where_its_windows_end():
+    # ext_pow(..., generic_squares=True, prefix_shift=k) returns (e^exp,
+    # e^(exp >> k)) and books exp's contract, for every cut k < bits(exp),
+    # below and above the window crossover; the kernel does so at every width.
+    rng = random.Random(20261031)
+    widths = (1, *quadext._WINDOWS)
+    for bits in (1, 2, 9, 127, 128, 129, 300, 700):
+        n = rng.getrandbits(64) | 1 << 63 | 1
+        rings = [
+            ExtensionRing.pure(n, rng.randrange(n)),
+            ExtensionRing.pure(n, rng.randrange(2, 60), small=True),
+            ExtensionRing.general(n, rng.randrange(n), rng.randrange(n)),
+        ]
+        exps = (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1)
+        for ring in rings:
+            for base in (QuadExtElement(rng.randrange(n), rng.randrange(1, n)), QuadExtElement(0, 1)):
+                for exp in exps:
+                    power = _ext_pow_by_steps(base, exp, ring)
+                    want = [OpCounter(), OpCounter()]
+                    ext_pow(base, exp, ring, *want, generic_squares=True)
+                    for shift in sorted({0, 1, 2, 3, bits // 2, bits - 1} & set(range(bits))):
+                        prefix = _ext_pow_by_steps(base, exp >> shift, ring)
+                        got = [OpCounter(), OpCounter()]
+                        assert ext_pow(base, exp, ring, *got, generic_squares=True,
+                                       prefix_shift=shift) == (power, prefix), (ring, base, exp, shift)
+                        assert [c.as_dict() for c in got] == [c.as_dict() for c in want]
+                        if ring.b is None:
+                            ch = None if ring.small_c_bits is not None else quadext._fold(n, ring.c)
+                            for k in widths:
+                                kernel = quadext._pure_power(*base, exp, n, ring.c, ch, k, low=shift)
+                                assert (kernel[0], kernel[3]) == (power, prefix), (ring, base, exp, shift, k)
+    ring = ExtensionRing.pure(101, 2)
+    for exp, shift, generic in ((5, 3, True), (5, -1, True), (0, 0, True), (5, 1, False)):
+        with pytest.raises(ValueError):
+            ext_pow(QuadExtElement(3, 4), exp, ring, generic_squares=generic, prefix_shift=shift)
