@@ -21,7 +21,14 @@ residues come from one remainder tree per chunk of the batch rather than
 one long division per n.  With ``--stdin``, a bad line, a
 ``--base`` that is a multiple of that n, or an exhausted sampler is
 reported as ``error: line K: ...`` and the rest of the batch is still
-tested; the exit status is the worst one seen.
+tested; the exit status is the worst one seen.  An empty ``--stdin``
+batch is a usage error.
+
+Each ``test`` record is written straight from its fields by one fixed
+template per output mode: ``_json_line`` gives the bytes of
+``json.dumps(record, sort_keys=True)`` and ``_plain_line`` the
+``key=value`` line ``_emit`` would print.  ``_emit`` serves only the
+experiment subcommands, which print one open-schema record per process.
 
 Every randomized subcommand accepts ``--seed`` and echoes the seed it used,
 so any run can be reproduced byte for byte.
@@ -33,7 +40,6 @@ import argparse
 import json
 import random
 import sys
-from typing import Optional
 
 from .arith import _load_batch_residues
 from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
@@ -42,6 +48,7 @@ from .cost_model import DELTA_STAR, cost_table, measure_m, render_cost_table
 # under these names.
 from .frobenius import (  # noqa: F401
     ParamSearchExhausted,
+    Verdict,
     generate_qft_params,
     generate_rqft_params,
     initial_screen,
@@ -64,7 +71,8 @@ EXIT_COMPOSITE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
-# same bytes as json.dumps(report, sort_keys=True), without a new encoder per record
+# the experiment subcommands' records, one per process: the same bytes as
+# json.dumps(report, sort_keys=True), without building an encoder per call
 _JSON = json.JSONEncoder(sort_keys=True)
 
 
@@ -83,22 +91,30 @@ def _emit(report: dict, output: str) -> None:
         print(" ".join(parts))
 
 
-def _test_one(n: int, args, rng: random.Random, seed: Optional[int]) -> "tuple[dict, int]":
-    counter = OpCounter()
-    verdict, rounds_run = run_rounds(n, args.method, rng, args.rounds, counter,
-                                     delta=args.delta, base=args.base)
-    report = {
-        "n": n,
-        "method": args.method,
-        "verdict": "probable-prime" if verdict.is_probable_prime else "composite",
-        "reason": verdict.reason.value if verdict.reason is not None else None,
-        "factor": verdict.factor,
-        "rounds_run": rounds_run,
-        "seed": seed,
-        "ops": counter.as_dict(),
-    }
-    code = EXIT_PROBABLE_PRIME if verdict.is_probable_prime else EXIT_COMPOSITE
-    return report, code
+def _json_line(n: int, method: str, verdict: Verdict, rounds_run: int, seed: int, ops: OpCounter) -> str:
+    """One ``test`` record as ``json.dumps(record, sort_keys=True)`` prints it.
+
+    The keys are in sorted order, ``None`` is ``null``, the ratio is its
+    ``repr`` and the reason its ``.value`` (from Python 3.11 on, an enum
+    mixed with ``str`` formats as ``CompositeReason.STEP3``).
+    """
+    factor = "null" if verdict.factor is None else verdict.factor
+    reason = "null" if verdict.reason is None else '"' + verdict.reason.value + '"'
+    status = "probable-prime" if verdict.is_probable_prime else "composite"
+    return (f'{{"factor": {factor}, "method": "{method}", "n": {n}, "ops": {{"full_mults": {ops.full_mults}, '
+            f'"param_mults": {ops.param_mults}, "small_bits_ratio": {ops.small_bits_ratio!r}, '
+            f'"small_mults": {ops.small_mults}, "squarings": {ops.squarings}}}, "reason": {reason}, '
+            f'"rounds_run": {rounds_run}, "seed": {seed}, "verdict": "{status}"}}')
+
+
+def _plain_line(n: int, method: str, verdict: Verdict, rounds_run: int, seed: int, ops: OpCounter) -> str:
+    """One ``test`` record by ``_emit``'s ``key=value`` rule: record order, ``None`` fields left out."""
+    reason = "" if verdict.reason is None else " reason=" + verdict.reason.value
+    factor = "" if verdict.factor is None else f" factor={verdict.factor}"
+    status = "probable-prime" if verdict.is_probable_prime else "composite"
+    return (f"n={n} method={method} verdict={status}{reason}{factor} rounds_run={rounds_run} seed={seed} "
+            f"ops.squarings={ops.squarings} ops.full_mults={ops.full_mults} ops.small_mults={ops.small_mults} "
+            f"ops.param_mults={ops.param_mults} ops.small_bits_ratio={ops.small_bits_ratio!r}")
 
 
 def cmd_test(args) -> int:
@@ -119,6 +135,9 @@ def cmd_test(args) -> int:
             for k, line in enumerate(sys.stdin.read().splitlines(), 1)
             for token in line.split()
         ]
+        if not entries:
+            print("error: no n given on stdin", file=sys.stderr)
+            return EXIT_USAGE
     else:
         entries = [("", args.n)]
     parsed = []
@@ -132,6 +151,7 @@ def cmd_test(args) -> int:
         _load_batch_residues([n for _, n in parsed if isinstance(n, int)])
     seed = args.seed if args.seed is not None else random.SystemRandom().getrandbits(64)
     rng = random.Random(seed)
+    render = _json_line if args.output == "json" else _plain_line
     worst = EXIT_PROBABLE_PRIME
     for where, n in parsed:
         # a bad entry, or a --base that is a multiple of it, is reported and
@@ -140,7 +160,9 @@ def cmd_test(args) -> int:
         try:
             if isinstance(n, ValueError):
                 raise n
-            report, code = _test_one(n, args, rng, seed)
+            counter = OpCounter()
+            verdict, rounds_run = run_rounds(n, args.method, rng, args.rounds, counter,
+                                             delta=args.delta, base=args.base)
         except ValueError as exc:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_USAGE)
@@ -149,8 +171,8 @@ def cmd_test(args) -> int:
             print(f"error: {where}{exc}", file=sys.stderr)
             worst = max(worst, EXIT_EXHAUSTED)
             continue
-        _emit(report, args.output)
-        worst = max(worst, code)
+        print(render(n, args.method, verdict, rounds_run, seed, counter))
+        worst = max(worst, EXIT_PROBABLE_PRIME if verdict.is_probable_prime else EXIT_COMPOSITE)
     return worst
 
 

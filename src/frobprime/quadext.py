@@ -120,10 +120,9 @@ class OpCounter:
 
 
 #: The values of an ``OpCounter``'s fields, in the order of the slots that
-#: the dataclass made from them.  Every round copies twice and every CLI
-#: record calls ``as_dict``: with CPython 3.11 on a 2-core x86-64 machine,
-#: ``dataclasses.replace`` and ``asdict`` took 0.8 and 4 us a call against
-#: 0.2 and 0.3 us for these.
+#: the dataclass made from them, for ``copy``: with CPython 3.11 on a 2-core
+#: x86-64 machine, ``dataclasses.replace`` took 0.8 us a call against 0.2 us
+#: for this.
 _op_counts = attrgetter(*OpCounter.__slots__)
 
 

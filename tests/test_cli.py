@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, output formats, exit codes."""
 
 import argparse
+import contextlib
 import io
 import json
 import re
@@ -8,10 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobprime import arith, cli, frobenius, nonresidue
 from frobprime.cli import main
+from frobprime.frobenius import CompositeReason, Verdict
 from frobprime.nonresidue import SearchOutcome
+from frobprime.quadext import OpCounter
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = json.loads((DATA / "golden_test_stdin.json").read_text())
@@ -122,6 +127,59 @@ def test_stdin_rejects_garbage(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("seven\n"))
     code, _, err = run(capsys, "test", "--stdin")
     assert code == 2 and "seven" in err
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n\n"], ids=["empty", "whitespace-only"])
+def test_an_empty_batch_is_a_usage_error(capsys, monkeypatch, text):
+    def drawn(*_):
+        raise AssertionError("a batch with no n drew a seed or built a remainder tree")
+
+    monkeypatch.setattr(cli.random, "SystemRandom", drawn)
+    monkeypatch.setattr(cli, "_load_batch_residues", drawn)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(capsys, "test", "--stdin", "--method", "rqft") == (2, "", "error: no n given on stdin\n")
+
+
+_RATIOS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_OPS = st.builds(OpCounter, *[st.integers(0, 10**9)] * 4, small_bits_ratio=_RATIOS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(2, 2**70), st.integers(10**4300, 10**4320)),
+    method=st.sampled_from(cli._METHODS),
+    factor=st.one_of(st.none(), st.integers(2, 10**30)),
+    reason=st.one_of(st.none(), st.sampled_from(CompositeReason)),
+    rounds_run=st.integers(0, 100),
+    seed=st.integers(-2**70, 2**70),
+    ops=_OPS,
+)
+def test_the_record_writer_matches_json_and_the_plain_rule(n, method, factor, reason, rounds_run, seed, ops):
+    # json.dumps and _emit of the whole record are the reference for both lines
+    record = {
+        "n": n,
+        "method": method,
+        "verdict": "probable-prime" if reason is None else "composite",
+        "reason": None if reason is None else reason.value,
+        "factor": factor,
+        "rounds_run": rounds_run,
+        "seed": seed,
+        "ops": ops.as_dict(),
+    }
+    verdict = Verdict(reason is None, reason, factor)
+    # n runs past the 4300-digit int/str limit, lifted here as main lifts it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        plain = io.StringIO()
+        with contextlib.redirect_stdout(plain):
+            cli._emit(record, "plain")
+        assert cli._json_line(n, method, verdict, rounds_run, seed, ops) == json.dumps(record, sort_keys=True)
+        assert cli._plain_line(n, method, verdict, rounds_run, seed, ops) + "\n" == plain.getvalue()
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_stdin_reports_each_bad_line_and_tests_the_rest(capsys, monkeypatch):
