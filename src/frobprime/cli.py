@@ -27,8 +27,9 @@ batch is a usage error.
 Each ``test`` record is written straight from its fields by one fixed
 template per output mode: ``_json_line`` gives the bytes of
 ``json.dumps(record, sort_keys=True)`` and ``_plain_line`` the
-``key=value`` line ``_emit`` would print.  ``_emit`` serves only the
-experiment subcommands, which print one open-schema record per process.
+``key=value`` line ``_emit`` would print with the op counts spread into
+``ops.<field>`` keys.  ``_emit`` serves only the experiment subcommands,
+which print one flat record per process.
 
 Every randomized subcommand accepts ``--seed`` and echoes the seed it used,
 so any run can be reproduced byte for byte.
@@ -71,24 +72,14 @@ EXIT_COMPOSITE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 
-# the experiment subcommands' records, one per process: the same bytes as
-# json.dumps(report, sort_keys=True), without building an encoder per call
-_JSON = json.JSONEncoder(sort_keys=True)
-
 
 def _emit(report: dict, output: str) -> None:
+    """Print an experiment subcommand's one flat record: JSON with sorted
+    keys, or ``key=value`` pairs in record order with ``None`` left out."""
     if output == "json":
-        print(_JSON.encode(report))
+        print(json.dumps(report, sort_keys=True))
     else:
-        parts = []
-        for key, value in report.items():
-            if value is None:
-                continue
-            if isinstance(value, dict):
-                parts.extend(f"{key}.{k}={v}" for k, v in value.items())
-            else:
-                parts.append(f"{key}={value}")
-        print(" ".join(parts))
+        print(" ".join(f"{key}={value}" for key, value in report.items() if value is not None))
 
 
 def _json_line(n: int, method: str, verdict: Verdict, rounds_run: int, seed: int, ops: OpCounter) -> str:
@@ -108,7 +99,8 @@ def _json_line(n: int, method: str, verdict: Verdict, rounds_run: int, seed: int
 
 
 def _plain_line(n: int, method: str, verdict: Verdict, rounds_run: int, seed: int, ops: OpCounter) -> str:
-    """One ``test`` record by ``_emit``'s ``key=value`` rule: record order, ``None`` fields left out."""
+    """One ``test`` record by ``_emit``'s ``key=value`` rule: record order, ``None`` fields left out,
+    and the op counts as ``ops.<field>`` keys."""
     reason = "" if verdict.reason is None else " reason=" + verdict.reason.value
     factor = "" if verdict.factor is None else f" factor={verdict.factor}"
     status = "probable-prime" if verdict.is_probable_prime else "composite"

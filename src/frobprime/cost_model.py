@@ -78,6 +78,8 @@ class CostWeights:
     def __post_init__(self) -> None:
         if not self.m > 0:
             raise ValueError("m must be positive")
+        if not math.isfinite(self.m):
+            raise ValueError("m must be finite")
         if not 0 < self.delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
 

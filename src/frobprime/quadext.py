@@ -4,11 +4,22 @@ Two ring forms are supported: the general form Z[x]/(n, x^2 - b*x - c) and
 the pure form Z[x]/(n, x^2 - c).  Elements are pairs (u, v) representing
 u + v*x with coefficients held fully reduced in [0, n).
 
+Every element operation computes in one coordinate system, the pure form.
+A general-form ring completes the square: x = y + h with h = b/2 maps
+Z[x]/(n, x^2 - b*x - c) onto Z[y]/(n, y^2 - d), d = h^2 + c
+(``_pure_form``), and a pure ring is its own square, h = 0 and d = c.  An
+element u + v*x goes in as (u + h*v) + v*y, the pure-form formula runs with
+d, and ``_from_pure`` maps the result back.  The map keeps v, so an
+operation meets a scalar in one ring exactly when it does in the other.
+The ring form decides only two things: its rows of ``_STEP_COSTS`` and
+``ExtensionRing._completed`` = (h, d, dh), dh being ``_fold``'s fold of d.
+
 What one step books is a row of ``_STEP_COSTS``, the cost table of the
 cost model: per ring form, the counts of a non-scalar square, a non-scalar
 product and an x-step, plus the rows of the scalar shortcuts.  Every
-booking adds copies of one row through ``_book``.  The dominant ladder,
-whose per-step cost is contractual (``ext_pow``'s ``generic_squares=True``),
+booking adds copies of one row through ``_book``, so a general-form ring
+books its own form's rows whatever runs.  The dominant ladder, whose
+per-step cost is contractual (``ext_pow``'s ``generic_squares=True``),
 skips the scalar shortcuts and books every step at its form's non-scalar
 rows, whatever the base.
 
@@ -29,22 +40,19 @@ mod any n, so W = N(z^q) * w^b with q = s1 >> v2(n + 1) and b bit j of
 s1, and z^q is the dominant ladder's prefix (``ext_pow``'s
 ``prefix_shift``).  Only an n where v2(n + 1) reaches half of s1's bits
 (n = 2^k - 1, say; see ``_levels``) runs t as one whole ``pow``.  Every
-other power runs one kernel, in the pure form, on local ints, reducing
-once per output coefficient: 2 reductions per square in every form, since
-c*v^2 is never reduced before the sum it joins.  A small c multiplies v^2
-as it is, and so does a full-size c below ``_FOLD_MIN_BITS``; from there
-on ``_fold`` trades the reduction of v^2 for one bare product.  A
-general-form power reaches it by completing the square: x = y + b/2 maps
-Z[x]/(n, x^2 - b*x - c) onto Z[y]/(n, y^2 - (b^2/4 + c)), and the result
-is mapped back.  The kernel is a left-to-right sliding window whose width
-comes from the exponent's length (``_window_width``): width 1 is the
-binary ladder, and the dominant ladder (``generic_squares``), like
-``frobenius.lucas_uv``, slides windows of 4 to 7 bits from 128 exponent
-bits on, in every form and for every base, x included, for about
-bits/(k+1) multiply steps by precomputed odd powers instead of one per
-set bit.  The booked counts realize the per-operation cost model of
-the caller's ring; the concrete bignum products and reductions differ,
-which never changes values.
+other power runs one kernel on local ints, reducing once per output
+coefficient: 2 reductions per square, since d*v^2 is never reduced
+before the sum it joins.  A small c multiplies v^2 as it is, and so does
+a full-size d below ``_FOLD_MIN_BITS``; from there on ``_fold`` trades
+the reduction of v^2 for one bare product.  The kernel is a left-to-right
+sliding window whose width comes from the exponent's length
+(``_window_width``): width 1 is the binary ladder, and the dominant ladder
+(``generic_squares``), like ``frobenius.lucas_uv``, slides windows of 4 to
+7 bits from 128 exponent bits on, in every form and for every base, x
+included, for about bits/(k+1) multiply steps by precomputed odd powers
+instead of one per set bit.  The booked counts realize the per-operation
+cost model of the caller's ring; the concrete bignum products and
+reductions differ, which never changes values.
 """
 
 from __future__ import annotations
@@ -166,10 +174,9 @@ class ExtensionRing:
     #: bits(c)/bits(n) when c is designated small, else None.
     small_ratio: Optional[float] = field(init=False, repr=False, compare=False)
     #: (h, d, dh) with x = y + h, y^2 = d (see ``_pure_form``) and dh the
-    #: kernel's ``_fold`` of d; (0, c, ch) in the pure form.
+    #: kernel's ``_fold`` of d, None for a small c; (0, c, ch) in the pure
+    #: form.  Every element operation computes in these coordinates.
     _completed: "tuple[int, int, Optional[int]]" = field(init=False, repr=False, compare=False)
-    #: (ch, bh), the ``_fold`` of c and of b; None for a small c or no b.
-    _folds: "tuple[Optional[int], Optional[int]]" = field(init=False, repr=False, compare=False)
     #: This form's rows of ``_STEP_COSTS``.
     _steps: _StepCosts = field(init=False, repr=False, compare=False)
     #: ((base, exp), base^exp mod n) for the last high power stored in
@@ -198,17 +205,16 @@ class ExtensionRing:
             raise ValueError("b must be reduced into [0, n)")
         if self.small_c_bits is not None and self.b is not None:
             raise ValueError("small_c_bits applies to the pure form only")
-        ch = None if self.small_c_bits is not None else _fold(n, self.c)
         if self.b is not None:
             h, d = _pure_form(n, self.b, self.c)
-            completed, folds, form = (h, d, _fold(n, d)), (ch, _fold(n, self.b)), "general"
+            form = "general"
         else:
+            h, d = 0, self.c
             form = "pure" if self.small_c_bits is None else "pure-smallc"
-            completed, folds = (0, self.c, ch), (ch, None)
+        dh = None if self.small_c_bits is not None else _fold(n, d)
         ratio = None if self.small_c_bits is None else self.small_c_bits / n.bit_length()
         object.__setattr__(self, "small_ratio", ratio)
-        object.__setattr__(self, "_completed", completed)
-        object.__setattr__(self, "_folds", folds)
+        object.__setattr__(self, "_completed", (h, d, dh))
         object.__setattr__(self, "_steps", _STEP_COSTS[form])
         object.__setattr__(self, "_last_power", (None, None))
 
@@ -256,11 +262,12 @@ def ext_square(
 ) -> QuadExtElement:
     """e*e with the cheap squaring formula; equals ext_mul(e, e) in value.
 
-    (u + v*x)^2 = (u^2 + c*v^2) + (2uv + b*v^2)*x, with 2uv recovered from
-    (u+v)^2 - u^2 - v^2; each output coefficient is reduced once, and v^2
-    never before it: ``_times`` folds it through the ring's ``_fold`` of a
-    full-size c, and ``_plus_times`` through those of b and c from one
-    split.  A scalar (v == 0) books exactly one squaring.
+    In the ring's completed square, e = u + v*y with y^2 = d, and
+    (u + v*y)^2 = (u^2 + d*v^2) + 2uv*y, with 2uv recovered from
+    (u+v)^2 - u^2 - v^2; each output coefficient is reduced once, the map
+    back included, and v^2 never before it: ``_times`` folds it through the
+    ring's ``_fold`` of a full-size d.  A scalar (v == 0) books exactly one
+    squaring.
     """
     n = ring.n
     u, v = e
@@ -270,14 +277,12 @@ def ext_square(
         return QuadExtElement(u * u % n, 0)
     if counter is not None:
         _book(counter, ring._steps.square, ring)
+    h, d, dh = ring._completed
+    u = (u + h * v) % n
     uu = u * u
     vv = v * v
     t = u + v
-    two_uv = t * t - uu - vv
-    ch, _ = ring._folds
-    if ring.b is None:
-        return QuadExtElement((uu + _times(ring.c, ch, vv, n)) % n, two_uv % n)
-    return _plus_times(uu, two_uv, vv, ring)
+    return _from_pure(uu + _times(d, dh, vv, n), (t * t - uu - vv) % n, h, n)
 
 
 def ext_mul(
@@ -286,11 +291,12 @@ def ext_mul(
     ring: ExtensionRing,
     counter: Optional[OpCounter] = None,
 ) -> QuadExtElement:
-    """Ring product with x^2 reduced by the ring's form.
+    """Ring product, computed in the ring's completed square y^2 = d.
 
-    (u1 + v1*x)(u2 + v2*x) = (u1*u2 + c*v1*v2) + (u1*v2 + v1*u2 + b*v1*v2)*x,
-    with the cross term recovered Karatsuba-style from (u1+v1)(u2+v2) and
-    reductions placed as in ``ext_square``.
+    (u1 + v1*y)(u2 + v2*y) = (u1*u2 + d*v1*v2) + (u1*v2 + v1*u2)*y, with
+    the cross term recovered Karatsuba-style from (u1+v1)(u2+v2) and
+    reductions placed as in ``ext_square``.  A product with a scalar is
+    the same in every form and skips the map.
     """
     n = ring.n
     u1, v1 = e1
@@ -309,13 +315,13 @@ def ext_mul(
         return QuadExtElement(s * u % n, s * v % n)
     if counter is not None:
         _book(counter, ring._steps.product, ring)
+    h, d, dh = ring._completed
+    u1 = (u1 + h * v1) % n
+    u2 = (u2 + h * v2) % n
     p = u1 * u2
     q = v1 * v2
     cross = (u1 + v1) * (u2 + v2) - p - q
-    ch, _ = ring._folds
-    if ring.b is None:
-        return QuadExtElement((p + _times(ring.c, ch, q, n)) % n, cross % n)
-    return _plus_times(p, cross, q, ring)
+    return _from_pure(p + _times(d, dh, q, n), cross % n, h, n)
 
 
 def _times(c: int, ch: Optional[int], w: int, n: int) -> int:
@@ -327,32 +333,25 @@ def _times(c: int, ch: Optional[int], w: int, n: int) -> int:
     return ch * (w >> bits) + c * (w & ((1 << bits) - 1))
 
 
-def _plus_times(u: int, v: int, w: int, ring: ExtensionRing) -> QuadExtElement:
-    """(u + c*w) + (v + b*w)*x in the general form, each coefficient reduced
-    once, with c*w and b*w as ``_times`` gives them but from one split of w:
-    ``_fold`` depends on n alone, so both fold or neither does."""
-    n, b, c = ring.n, ring.b, ring.c
-    ch, bh = ring._folds
-    if ch is None:
-        return QuadExtElement((u + c * w) % n, (v + b * w) % n)
-    bits = n.bit_length()
-    high, low = w >> bits, w & ((1 << bits) - 1)
-    return QuadExtElement((u + ch * high + c * low) % n, (v + bh * high + b * low) % n)
+def _from_pure(u: int, v: int, h: int, n: int) -> QuadExtElement:
+    """u + v*y of the completed square, y = x - h, as the ring's own element
+    (u - h*v) + v*x, u reduced on the way; v must be reduced already."""
+    return QuadExtElement((u - h * v) % n, v)
 
 
 def mul_by_x(e: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCounter] = None) -> QuadExtElement:
     """e * x, the cheap multiply step for an x-power ladder.
 
-    Pure form: (u + v*x)*x = c*v + u*x, one product by c.  General form:
-    (u + v*x)*x = c*v + (u + b*v)*x, two products by the fixed parameters.
+    In the completed square, e*x = e*(y + h), which maps back to
+    (u + v*x)*x = c*v + (u + 2h*v)*x: one product by c in the pure form
+    (h = 0), and the general form's two products by its fixed parameters,
+    as 2h = b.
     """
     n = ring.n
     u, v = e
     if counter is not None:
         _book(counter, ring._steps.x_step, ring)
-    if ring.b is None:
-        return QuadExtElement(ring.c * v % n, u)
-    return QuadExtElement(ring.c * v % n, (u + ring.b * v) % n)
+    return QuadExtElement(ring.c * v % n, (u + 2 * ring._completed[0] * v) % n)
 
 
 def ext_pow(
@@ -386,11 +385,11 @@ def ext_pow(
     ``_scalar_pow`` for how it splits); with it a scalar runs the kernel.
 
     One kernel, a left-to-right sliding window of width k whose width-1 case
-    is the binary ladder, runs every power in the pure form: a general-form
-    base u + v*x goes in as (u + h*v) + v*y, with x = y + h, h = b/2 and
-    y^2 = h^2 + c, and the power comes back the same way.  The map keeps v,
-    so a step meets a scalar in one ring exactly when it does in the other,
-    and the booking follows the caller's ring.  The width comes from exp's
+    is the binary ladder, runs every power in the ring's completed square:
+    the base u + v*x goes in as (u + h*v) + v*y, with x = y + h and y^2 = d,
+    and the power comes back through ``_from_pure``.  The map keeps v, so a
+    step meets a scalar in one ring exactly when it does in the other, and
+    the booking follows the caller's ring.  The width comes from exp's
     bit length only.  ``generic_squares=True`` marks the dominant ladder:
     from 128 exponent bits on, in every form and for every base, x and
     scalars included, it slides windows of 4 to 7 bits, about bits/(k+1)
@@ -450,8 +449,7 @@ def ext_pow(
             else:
                 acc = QuadExtElement(high, 0)
             scalar_squares, scalar_mults = _scalar_steps(exp, a)
-    if h:
-        acc = QuadExtElement((acc.u - h * acc.v) % n, acc.v)
+    acc = _from_pure(*acc, h, n)
     if counter is not None:
         _book(counter, _SCALAR_SQUARE, ring, scalar_squares)
         _book(counter, ring._steps.square, ring, steps - scalar_squares)
@@ -463,7 +461,7 @@ def ext_pow(
             _book(mult_counter, ring._steps.product, ring, mults - scalar_mults)
     if prefix_shift is None:
         return acc
-    return acc, QuadExtElement((prefix.u - h * prefix.v) % n, prefix.v)
+    return acc, _from_pure(*prefix, h, n)
 
 
 def _levels(n: int, exp: int) -> int:
@@ -724,11 +722,13 @@ def frobenius_conjugate(e: QuadExtElement, ring: ExtensionRing) -> QuadExtElemen
 def ext_norm(e: QuadExtElement, ring: ExtensionRing) -> int:
     """The norm e * conjugate(e), a scalar.
 
-    Pure form: u^2 - c*v^2.  General form: u^2 + b*u*v - c*v^2 (the roots of
-    X^2 - b*X - c have sum b and product -c).
+    In the completed square, e = u + v*y with y^2 = d, and the norm is
+    u^2 - d*v^2.  The map fixes scalars, so this is the ring's own norm: in
+    the general form u^2 + b*u*v - c*v^2 in the coordinates of x (the roots
+    of X^2 - b*X - c have sum b and product -c).
     """
     n = ring.n
+    h, d, _ = ring._completed
     u, v = e
-    if ring.b is None:
-        return (u * u - ring.c * v * v) % n
-    return (u * u + ring.b * u * v - ring.c * v * v) % n
+    u = (u + h * v) % n
+    return (u * u - d * v * v) % n

@@ -41,6 +41,8 @@ def test_weights_validation():
     with pytest.raises(ValueError):
         CostWeights(-1.0)
     with pytest.raises(ValueError):
+        CostWeights(float("inf"))
+    with pytest.raises(ValueError):
         CostWeights(1.0, 0.0)
     with pytest.raises(ValueError):
         CostWeights(1.0, 1.5)

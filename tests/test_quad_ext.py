@@ -136,7 +136,10 @@ def test_square_equals_self_multiplication():
 
 def test_products_match_the_schoolbook_formula_in_every_form():
     # x^2 = b*x + c, with b = 0 for the pure form; the bit sizes straddle the
-    # kernel's fold crossover, and small=True never folds
+    # kernel's fold crossover, and small=True never folds.  Every operation
+    # runs in the completed square, and this oracle never does; the norm is
+    # u^2 + b*u*v - c*v^2, as the roots of X^2 - b*X - c have sum b and
+    # product -c
     rng = random.Random(59)
     for bits in (8, 64, 256, 2048, quadext._FOLD_MIN_BITS - 1, quadext._FOLD_MIN_BITS):
         for _ in range(30):
@@ -155,6 +158,8 @@ def test_products_match_the_schoolbook_formula_in_every_form():
                 vv = v1 * v1
                 expected = ((u1 * u1 + ring.c * vv) % n, (2 * u1 * v1 + b * vv) % n)
                 assert ext_square(QuadExtElement(u1, v1), ring) == expected
+                assert ext_norm(QuadExtElement(u1, v1), ring) == (u1 * u1 + b * u1 * v1 - ring.c * vv) % n
+                assert mul_by_x(QuadExtElement(u1, v1), ring) == (ring.c * v1 % n, (u1 + b * v1) % n)
 
 
 def test_mul_by_x_matches_general_multiplication():
@@ -603,8 +608,9 @@ def test_window_kernel_matches_the_step_by_step_ladder():
 
 
 def test_both_multiply_forms_give_the_same_values(monkeypatch):
-    """Every product by a full-size c or b folds when _FOLD_MIN_BITS is 0,
-    and none does when no modulus reaches it; the values stay the same."""
+    """Every product by a full-size c, or by the general form's completed
+    square d, folds when _FOLD_MIN_BITS is 0, and none does when no modulus
+    reaches it; the values stay the same."""
     kernels = []
 
     def recorded(*args, **kwargs):
@@ -630,7 +636,7 @@ def test_both_multiply_forms_give_the_same_values(monkeypatch):
             elements = [QuadExtElement(n - 1, n - 1), QuadExtElement(rng.randrange(n), rng.randrange(1, n))]
             for ring in rings:
                 if ring.small_c_bits is None:
-                    folds += ring._folds if ring.b is not None else ring._folds[:1]
+                    folds.append(ring._completed[2])
                 for e in elements:
                     values.append(ext_square(e, ring))
                     values += [ext_mul(e, f, ring) for f in elements]
