@@ -241,7 +241,10 @@ def measure_m(
 
 
 def cost_table(ms: Optional[Sequence[float]] = None, delta: float = DELTA_STAR) -> list:
-    """Per-iteration costs of all variants for each m; one dict per row."""
+    """Per-iteration costs of all variants for each m; one dict per row.
+
+    Raises ValueError when ms names no m.
+    """
     if ms is None:
         ms = PRESET_MS
     rows = []
@@ -251,6 +254,8 @@ def cost_table(ms: Optional[Sequence[float]] = None, delta: float = DELTA_STAR) 
         for variant in Variant:
             row[variant.value] = per_op_cost(variant, weights)
         rows.append(row)
+    if not rows:
+        raise ValueError("ms must name at least one m")
     return rows
 
 

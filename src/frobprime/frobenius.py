@@ -55,7 +55,7 @@ from .arith import (
 )
 from . import nonresidue
 from .quadext import ExtensionRing, OpCounter, QuadExtElement, ext_norm, ext_pow, ext_square
-from .quadext import _fold, _levels, _pure_form, _pure_power, _remember, _window_width
+from .quadext import _fold, _pure_form, _pure_power, _remember, _window_width
 
 __all__ = [
     "RETRY_CAP",
@@ -404,14 +404,15 @@ def _extension_steps(z: QuadExtElement, ring: ExtensionRing, ph: PhaseCounters) 
     With n - 1 = 2^r1 * s1, the ladder for y also hands back its prefix
     P = z^(s2 >> r1), r1 bits before its end.  Once step 4 passes, step 5's
     high power W = w^(s1 >> (r2-1)) is N(P) times w or 1, with no pow (see
-    ``_step5_from_intermediates``), and goes where step 5 looks for it.
-    Where ``quadext._levels`` gives 0 for s1 (n = 2^k - 1, say), no W is
-    derived.
+    ``_step5_from_intermediates``), and this is the one place that stores
+    it where step 5's ext_pow calls read it (``quadext._remember``).  Where
+    2*r2 reaches bits(s1) (n = 2^k - 1, say), splitting saves less than the
+    probe and the low ladder cost, so no W is derived.
     """
     n = ring.n
     r1, s1 = two_adic_split(n - 1)
     r2, s2 = two_adic_split(n + 1)
-    derive = _levels(n, s1) > 0
+    derive = 2 * r2 < s1.bit_length()
     y, prefix = ext_pow(z, s2, ring, ph.squaring_steps, ph.multiply_steps, generic_squares=True,
                         prefix_shift=r1 if derive else 0)
     w = ext_pow(y, 1 << (r2 - 1), ring, ph.squaring_steps, generic_squares=True)
@@ -451,18 +452,19 @@ def _step5_from_intermediates(
     usual (t != 1) chain runs entirely in the base ring.  Then t = 1 makes y
     a unit whose power y^(2^(r2-1)) = w is scalar, and y^s1 is W *
     y^(s1 mod 2^(r2-1)), a ladder of r2 - 1 bits.  Both powers split at
-    j = r2 - 1 and read the high power W = w^(s1 >> j) from the ring
-    (quadext.ExtensionRing._last_power).  A round puts W there before this
-    runs (``_extension_steps``): step 4 has shown z^(n+1) = N(z), and the
-    norm is multiplicative mod any n, so with q = s1 >> r2 and b bit j of
-    s1, W = w^(2q) * w^b = N(z)^q * w^b = N(z^q) * w^b, and z^q is the
-    dominant ladder's prefix.  So t costs pows of at most r2 bits, and a
-    round runs no full-size pow, unless r2 reaches half of s1's bits
-    (n = 2^k - 1, say): there no W is derived, t is one whole pow, and y^s1
-    is the plain ladder.  Called on its own (``step5_chain``), t computes W
-    and leaves it for y^s1.  Both powers book what the plain binary ladder
-    books: ext_pow derives y^s1's scalar steps in closed form from the
-    least a with y^(2^a) scalar.
+    j = r2 - 1 where the ring holds the high power W = w^(s1 >> j)
+    (quadext.ExtensionRing._last_power), which ext_pow reads and never
+    writes.  A round puts W there before this runs (``_extension_steps``):
+    step 4 has shown z^(n+1) = N(z), and the norm is multiplicative mod
+    any n, so with q = s1 >> r2 and b bit j of s1, W = w^(2q) * w^b =
+    N(z)^q * w^b = N(z^q) * w^b, and z^q is the dominant ladder's prefix.
+    So t costs pows of at most r2 bits, and a round runs no full-size pow,
+    unless r2 reaches half of s1's bits (n = 2^k - 1, say): there no W is
+    derived, t is one whole pow, and y^s1 is the plain ladder.  So is every
+    call on a ring that holds no W (``step5_chain``).  Both powers book
+    what the plain binary ladder books: with W, ext_pow derives y^s1's
+    scalar steps in closed form from the least a with y^(2^a) scalar;
+    without it, the ladder counts them.
     """
     one = QuadExtElement(1, 0)
     r1, s1 = two_adic_split(ring.n - 1)
@@ -498,9 +500,10 @@ def step5_chain(z: QuadExtElement, ring: ExtensionRing, counter: Optional[OpCoun
     Splits n^2 - 1 through the factors n - 1 and n + 1 and reuses the
     intermediates a full test run already has from step 3.  For an
     arbitrary z, w = z^((n+1)/2) need not be scalar; t = w^s1 is then an
-    extension ladder, and so is y^s1 unless y is a unit with a scalar power
-    y^(2^a) for some a <= v2(n+1) (see ext_pow).  Values and bookings are
-    those of the plain ladders either way.
+    extension ladder.  No step 4 runs here to derive step 5's high power
+    W, so t and y^s1 share nothing: a scalar t is one whole pow, and y^s1
+    is the plain ladder.  Values and bookings are those of the plain
+    ladders either way.
     """
     r2, s2 = two_adic_split(ring.n + 1)
     y = ext_pow(z, s2, ring, counter)

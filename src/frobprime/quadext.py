@@ -29,18 +29,21 @@ like ``ext_pow``'s loops, they reduce once per output coefficient.
 computed once from the exponent's bit length and popcount, the ring's
 rows and (without ``generic_squares``) the number of steps whose
 accumulator was scalar.  Its executed code differs: outside the
-dominant ladder a scalar base is the built-in ``pow``, and so is all but a
-few bits of the power of a unit base with a scalar power e^(2^a).  Both
-split at the top level j = v2(n + 1) - 1 and read the high power from the
-ring (``ExtensionRing._last_power``).  In a round that passes step 4,
-step 5's t = w^s1 and z^s = y^s1, with w = y^(2^j), share the high power
-W = w^(s1 >> j), and ``frobenius._extension_steps`` puts it there without
-a ``pow``: step 4 gives z^(n+1) = N(z), and the norm N is multiplicative
-mod any n, so W = N(z^q) * w^b with q = s1 >> v2(n + 1) and b bit j of
-s1, and z^q is the dominant ladder's prefix (``ext_pow``'s
-``prefix_shift``).  Only an n where v2(n + 1) reaches half of s1's bits
-(n = 2^k - 1, say; see ``_levels``) runs t as one whole ``pow``.  Every
-other power runs one kernel on local ints, reducing once per output
+dominant ladder a scalar base is the built-in ``pow``.  One entry of ring
+state shortens step 5.  In a round that passes step 4, step 5's t = w^s1
+and z^s = y^s1, with w = y^(2^j) and j = v2(n + 1) - 1, share the high
+power W = w^(s1 >> j), and ``frobenius._extension_steps`` stores it as
+``ExtensionRing._last_power`` without a ``pow``: step 4 gives z^(n+1) =
+N(z), and the norm N is multiplicative mod any n, so W = N(z^q) * w^b
+with q = s1 >> v2(n + 1) and b bit j of s1, and z^q is the dominant
+ladder's prefix (``ext_pow``'s ``prefix_shift``).  That is the entry's one
+writer.  ``ext_pow`` only reads it (``_shared_power``): a power whose
+exp >> j is the entry's exponent, of the entry's base or of a base whose
+2^j-th power it is, splits at j into W or W^(2^j) times a power of j
+bits.  Only an n where v2(n + 1) reaches half of s1's bits (n = 2^k - 1,
+say) gets no entry and runs t as one whole ``pow``.  Every other
+non-scalar power, and every power of the dominant ladder, runs one
+kernel on local ints, reducing once per output
 coefficient: 2 reductions per square, since d*v^2 is never reduced
 before the sum it joins.  A small c multiplies v^2 as it is, and so does
 a full-size d below ``_FOLD_MIN_BITS``; from there on ``_fold`` trades
@@ -179,22 +182,19 @@ class ExtensionRing:
     _completed: "tuple[int, int, Optional[int]]" = field(init=False, repr=False, compare=False)
     #: This form's rows of ``_STEP_COSTS``.
     _steps: _StepCosts = field(init=False, repr=False, compare=False)
-    #: ((base, exp), base^exp mod n) for the last high power stored in
-    #: this ring (``_remember``): step 5's share.  Step 5 runs t = w^s1
-    #: and, when t = 1, z^s = y^s1 with w = y^(2^j), j = v2(n + 1) - 1.
-    #: ``ext_pow`` splits both at j: t = W^(2^j) * w^(s1 mod 2^j) with the
-    #: high power W = w^(s1 >> j), and y^s1 = W * y^(s1 mod 2^j), and both
-    #: read W here.  Once step 4 has shown z^(n+1) = N(z),
-    #: ``frobenius._extension_steps`` stores W = N(z^q) * w^(bit j of s1),
-    #: q = s1 >> (j + 1), from the dominant ladder's prefix z^q: N is
-    #: multiplicative mod any n, so N(z^q) = z^((n+1) q) = w^(2q).  A round
-    #: then makes no full-size ``pow``; where ``_levels`` gives 0 for s1
-    #: (n = 2^k - 1, say), nothing is stored and t runs as one whole
-    #: ``pow``.  ``frobenius._run_round`` builds one ring per round, so
-    #: the entry lives as long as the round.  It is
-    #: written and read as one tuple, so a thread sharing the ring pairs a
-    #: key with its own value; and a value is a pure function of its key,
-    #: so any hit is right.
+    #: ((base, exp), base^exp mod n), or (None, None): step 5's high power
+    #: W = w^(s1 >> j), j = v2(n + 1) - 1, under the key (w, s1 >> j).
+    #: ``frobenius._extension_steps`` is its one writer (``_remember``):
+    #: once step 4 has shown z^(n+1) = N(z), it stores W = N(z^q) * w^(bit
+    #: j of s1), q = s1 >> (j + 1), from the dominant ladder's prefix z^q,
+    #: as N is multiplicative mod any n, so N(z^q) = z^((n+1) q) = w^(2q).
+    #: ``ext_pow`` only reads it (``_shared_power``), and t = w^s1 and z^s =
+    #: y^s1 then make no full-size ``pow``.  The entry exists only because
+    #: step 5's powers must book inside ``ext_pow`` calls, where the
+    #: benchmark's tracer diffs bookings; ROADMAP item 2 retires it, after
+    #: which W can pass to step 5 as a local.  ``frobenius._run_round``
+    #: builds one ring per round, so the entry lives as long as the round,
+    #: and a thread sharing a ring reads key and value as one tuple.
     _last_power: "tuple[Optional[tuple], Optional[int]]" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -381,8 +381,9 @@ def ext_pow(
     The executed code is not that ladder: the loops work on local ints,
     reduce once per output coefficient (a full-size c multiplies the square
     of v through ``_fold``), and every bucket is booked once at the end.
-    Without ``generic_squares`` a scalar base is the built-in ``pow`` (see
-    ``_scalar_pow`` for how it splits); with it a scalar runs the kernel.
+    Without ``generic_squares`` a scalar base is the built-in ``pow``, split
+    as below where the ring's entry serves it; with it a scalar runs the
+    kernel.
 
     One kernel, a left-to-right sliding window of width k whose width-1 case
     is the binary ladder, runs every power in the ring's completed square:
@@ -402,15 +403,16 @@ def ext_pow(
     steps before the end; the booking is exp's, as without it.
 
     Otherwise the binary ladder counts the steps whose accumulator is
-    scalar.  A base whose power e^(2^a) is a unit scalar for a small a
-    (see ``_scalar_power``) skips most of the ladder: with s = e^(2^j) for
-    j = max(a, v2(n + 1) - 1), e**exp = s^(exp >> j) * e^(exp mod 2^j), a
-    ladder of j bits and at most one built-in ``pow``, none when the ring
-    remembers s^(exp >> j) (``ExtensionRing._last_power``).  Such a base is
-    a unit, so its scalar powers are exactly the multiples of 2^a, and the
-    ladder's scalar steps follow from exp's bits and a in closed form.  The
-    dominant ladder's base has no such power in practice, so it skips that
-    probe.  The values are the ladder's.
+    scalar, and its width-1 tallies book them exactly, whatever the base.
+    One split skips most of that ladder: where ``_shared_power`` finds that
+    the ring's one entry (``ExtensionRing._last_power``, step 5's high power
+    W, which only ``frobenius._extension_steps`` writes) holds the high
+    power of exp, j = v2(n + 1) - 1 levels up, e**exp is W or W^(2^j) times
+    e^(exp mod 2^j), a ladder or ``pow`` of j bits.  A non-scalar base split
+    so is a unit whose least scalar power is e^(2^a), a <= j, so its scalar
+    powers are exactly the multiples of 2^a, and the ladder's scalar steps
+    follow from exp's bits and a in closed form (``_scalar_steps``).
+    ``ext_pow`` never writes the entry, and the values are the ladder's.
     """
     if exp < 0:
         raise ValueError("ext_pow requires a nonnegative exponent")
@@ -424,31 +426,27 @@ def ext_pow(
         mult_counter = counter
     steps = exp.bit_length() - 1
     mults = exp.bit_count() - 1
+    split = None if generic_squares else _shared_power(u, v, exp, ring)
     if v == 0 and not generic_squares:
         if counter is not None:
             _book(counter, _SCALAR_SQUARE, ring, steps)
         if mult_counter is not None:
             _book(mult_counter, _SCALAR_PRODUCT, ring, mults)
-        return QuadExtElement(_scalar_pow(u, exp, ring), 0)
+        if split is None:
+            return QuadExtElement(pow(u, exp, n), 0)
+        return QuadExtElement(split[1] * pow(u, split[2], n) % n, 0)
     h, d, dh = ring._completed
     yu = (u + h * v) % n
     scalar_squares = scalar_mults = 0
     if generic_squares:
         acc, _, _, prefix = _pure_power(yu, v, exp, n, d, dh, _window_width(steps + 1), low=prefix_shift or 0)
+    elif split is None:
+        acc, scalar_squares, scalar_mults, _ = _pure_power(yu, v, exp, n, d, dh, 1)
     else:
-        split = _scalar_power(u, v, exp, ring)
-        if split is None:
-            acc, scalar_squares, scalar_mults, _ = _pure_power(yu, v, exp, n, d, dh, 1)
-        else:
-            a, j, s = split
-            high = _remembered_pow(s, exp >> j, ring)
-            low = exp & ((1 << j) - 1)
-            if low:
-                lu, lv = _pure_power(yu, v, low, n, d, dh, 1)[0]
-                acc = QuadExtElement(high * lu % n, high * lv % n)
-            else:
-                acc = QuadExtElement(high, 0)
-            scalar_squares, scalar_mults = _scalar_steps(exp, a)
+        a, high, low = split
+        lu, lv = _pure_power(yu, v, low, n, d, dh, 1)[0] if low else (1, 0)
+        acc = QuadExtElement(high * lu % n, high * lv % n)
+        scalar_squares, scalar_mults = _scalar_steps(exp, a)
     acc = _from_pure(*acc, h, n)
     if counter is not None:
         _book(counter, _SCALAR_SQUARE, ring, scalar_squares)
@@ -464,71 +462,39 @@ def ext_pow(
     return acc, _from_pure(*prefix, h, n)
 
 
-def _levels(n: int, exp: int) -> int:
-    """v2(n + 1), the most squarings ``ext_pow`` splits off a power of exp.
-
-    0 where v2(n + 1) reaches half of exp's bits (n = 2^k - 1, say): there
-    the probe and the low ladder can cost more than the ladder they replace.
-    """
-    levels = ((n + 1) & -(n + 1)).bit_length() - 1
-    return 0 if 2 * levels >= exp.bit_length() else levels
-
-
-def _remembered_pow(base: int, exp: int, ring: ExtensionRing) -> int:
-    """base^exp mod n, from ``ring._last_power`` when it holds that key, else stored there."""
-    last_key, power = ring._last_power
-    if last_key != (base, exp):
-        power = pow(base, exp, ring.n)
-        _remember(ring, base, exp, power)
-    return power
-
-
 def _remember(ring: ExtensionRing, base: int, exp: int, power: int) -> None:
     """Store power = base^exp mod n as ``ring._last_power``, under (base, exp)."""
     object.__setattr__(ring, "_last_power", ((base, exp), power))
 
 
-def _scalar_pow(u: int, exp: int, ring: ExtensionRing) -> int:
-    """u^exp mod n, split at the top level j = v2(n + 1) - 1.
+def _shared_power(u: int, v: int, exp: int, ring: ExtensionRing) -> "Optional[tuple[int, int, int]]":
+    """(a, high, low) with (u + v*x)^exp = high * (u + v*x)^low, from the
+    ring's shared high power W = base^E (``ExtensionRing._last_power``);
+    else None.
 
-    u^exp = W^(2^j) * u^(exp mod 2^j) with the high power W = u^(exp >> j),
-    which ``_remembered_pow`` reads from ``ring._last_power`` (step 5's
-    share) under (u, exp >> j), or computes and stores there.  A scalar u
-    first peeks under (u^(2^j), exp >> j), j more squarings, and on a hit
-    u^exp is W * u^(exp mod 2^j).  At j = 0 (v2(n + 1) = 1) u^exp is W
-    itself.  Powers with too few bits for ``_levels`` run whole.
+    With j = v2(n + 1) - 1, W serves a power whose exp >> j is E, and low =
+    exp mod 2^j.  A scalar u = base gives high = W^(2^j); any other base
+    whose 2^j-th power is base gives high = W.  Only on that exponent match
+    does the probe run: another scalar is raised to 2^j once (a = 0), and a
+    non-scalar is squared up to j times for the least a >= 1 with (u +
+    v*x)^(2^a) a unit scalar.  The squarings are not booked.
     """
-    n = ring.n
-    j = _levels(n, exp) - 1
-    if j < 1:
-        return pow(u, exp, n) if j < 0 else _remembered_pow(u, exp, ring)
-    high, low = exp >> j, pow(u, exp & ((1 << j) - 1), n)
-    last_key, power = ring._last_power
-    if last_key == (pow(u, 1 << j, n), high):
-        return power * low % n
-    return pow(_remembered_pow(u, high, ring), 1 << j, n) * low % n
-
-
-def _scalar_power(u: int, v: int, exp: int, ring: ExtensionRing) -> "Optional[tuple[int, int, int]]":
-    """(a, j, s) for the least a >= 1 with (u + v*x)^(2^a) a unit scalar; else None.
-
-    j = max(a, v2(n + 1) - 1) is the level ``ext_pow`` splits the power at,
-    and s = (u + v*x)^(2^j), so that e**exp = s^(exp >> j) * e^(exp mod 2^j);
-    ``ext_pow`` takes s^(exp >> j) from ``ring._last_power`` (step 5's share).
-    Only a <= v2(n + 1) is tried (see ``_levels``): for prime n the units
-    modulo scalars of F_(n^2) form a cyclic group of order n + 1.  The
-    squarings are not booked.
-    """
-    n = ring.n
-    limit = _levels(n, exp)
+    (key, power), n = ring._last_power, ring.n
+    j = ((n + 1) & -(n + 1)).bit_length() - 2
+    if key is None or key[1] != exp >> j:
+        return None
+    base, low = key[0], exp & ((1 << j) - 1)
+    if not v:
+        if u == base:
+            return 0, pow(power, 1 << j, n), low
+        return (0, power, low) if pow(u, 1 << j, n) == base else None
     e = QuadExtElement(u, v)
-    for a in range(1, limit + 1):
+    for a in range(1, j + 1):
         e = ext_square(e, ring)
         if e.v == 0:
-            if math.gcd(e.u, n) != 1:
+            if math.gcd(e.u, n) != 1 or pow(e.u, 1 << (j - a), n) != base:
                 return None
-            j = max(a, limit - 1)
-            return a, j, pow(e.u, 1 << (j - a), n)
+            return a, power, low
     return None
 
 

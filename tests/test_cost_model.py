@@ -84,6 +84,13 @@ def test_cost_table_custom_ms():
     assert rows[0]["rqft-smallc"] == pytest.approx(2.5 * 1.5)
 
 
+def test_cost_table_rejects_an_empty_ms():
+    # no m is no table: an empty ms fails here, not later in render_cost_table
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError, match="at least one m"):
+            cost_table(empty)
+
+
 def test_render_cost_table_layout():
     text = render_cost_table(cost_table())
     lines = text.splitlines()

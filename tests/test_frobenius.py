@@ -812,9 +812,9 @@ def test_a_round_on_a_non_mersenne_n_runs_no_full_size_pow(monkeypatch):
 
 
 def test_a_repeated_round_makes_the_same_pows(monkeypatch):
-    # The high power that step 5 shares lives on the round's ring, so a
-    # round run again with the same parameters finds nothing of the first
-    # run and makes the same built-in pow calls, the full-size one included.
+    # The high power that step 5 shares lives on the round's ring, and only
+    # the round writes it, so a round run again with the same parameters
+    # finds nothing of the first run and makes the same built-in pow calls.
     exps = _count_pows(monkeypatch)
     rng = random.Random(20261029)
     p = _prime_with_v2(rng, 2, 256)

@@ -470,16 +470,7 @@ def _split_cases():
         yield ring, base, rng.getrandbits(rng.choice((8, 60))) | 1
 
 
-def test_ext_pow_kernel_matches_the_step_by_step_ladder(monkeypatch):
-    splits = []
-    scalar_power = quadext._scalar_power
-
-    def recorded(*args):
-        split = scalar_power(*args)
-        splits.append(split and (split[0], args[:2] == (0, 1)))
-        return split
-
-    monkeypatch.setattr(quadext, "_scalar_power", recorded)
+def test_ext_pow_kernel_matches_the_step_by_step_ladder():
     scalar_squares = scalar_mults = 0
     for ring, base, exp in _kernel_cases():
         for generic in (False, True):
@@ -500,10 +491,10 @@ def test_ext_pow_kernel_matches_the_step_by_step_ladder(monkeypatch):
                 scalar_squares += want[0].squarings
                 if ring.small_c_bits is None and base != (0, 1) and exp:
                     scalar_mults += 6 * (bin(exp).count("1") - 1) - want[1].full_mults
+        # ext_pow only reads the ring's shared high power: no call stores one
+        assert ring._last_power == (None, None), (ring, base, exp)
     # the scalar-accumulator steps were exercised
     assert scalar_squares > 1000 and scalar_mults > 100, (scalar_squares, scalar_mults)
-    # powers split at every a from 1 to 7, with a general base and with x
-    assert {s for s in splits if s} >= {(a, is_x) for a in range(1, 8) for is_x in (False, True)}
 
 
 def _window_exponents(rng, bits, k):
@@ -734,59 +725,87 @@ def _memo_pairs(rng, k, bits, form, count):
         yield ring, w, y, rng.getrandbits(bits) | 1 << (bits - 1)
 
 
-def _peeked_key(base, exp, ring):
-    """The key under which ext_pow looks in the ring for base^exp's high power."""
-    n = ring.n
-    if base[1]:
-        _, j, top = quadext._scalar_power(*base, exp, ring)
-        return top, exp >> j
-    j = quadext._levels(n, exp) - 1
-    return pow(base[0], 1 << j, n), exp >> j
+def _minimal_ring(y, ring):
+    """The general ring of y's minimal polynomial, where x plays y's part."""
+    b = ring.b or 0
+    trace, norm = 2 * y.u + b * y.v, y.u * y.u + b * y.u * y.v - ring.c * y.v * y.v
+    return ExtensionRing.general(ring.n, trace, -norm)
 
 
-def test_the_remembered_high_power_never_changes_a_value(monkeypatch):
-    # Before each power, the ring's entry is primed by a power in the same
-    # ring with another base or another exponent, and then by a planted
-    # entry whose key differs from the one peeked in one place only, with a
-    # wrong power.  Values and bookings stay the ladder's.  y's power right
-    # after w's is step 5's pair, and finds w's high power.
-    big = []
+def test_a_planted_high_power_serves_step_5s_pairs_and_nothing_else(monkeypatch):
+    # The entry that frobenius._extension_steps plants, W = w^(exp >> j) with
+    # j = v2(p + 1) - 1, splits w^exp and y^exp, and x^exp in the ring of y's
+    # minimal polynomial, at every a from 1 to 7 in every form, with no pow of
+    # more than bits(p)/2 exponent bits.  Near-miss keys, planted with a wrong
+    # power, are never read: where the key's exponent differs, not even the
+    # probe runs.  Values and bookings stay the ladder's either way, and no
+    # call changes the entry.
+    pows, squares, reads = [], [], []
+    shared, square = quadext._shared_power, quadext.ext_square
 
-    def counted(base, exp, mod):
-        big.append(exp.bit_length() > mod.bit_length() // 2)
+    def counted_pow(base, exp, mod):
+        pows.append(exp)
         return pow(base, exp, mod)
 
-    monkeypatch.setattr(quadext, "pow", counted, raising=False)
+    def counted_square(*args, **kwargs):
+        squares.append(args[0])
+        return square(*args, **kwargs)
+
+    def recorded(*args):
+        split = shared(*args)
+        reads.append(split)
+        return split
+
+    monkeypatch.setattr(quadext, "pow", counted_pow, raising=False)
+    monkeypatch.setattr(quadext, "ext_square", counted_square)
+    monkeypatch.setattr(quadext, "_shared_power", recorded)
     rng = random.Random(20261027)
     forms = ("general", "pure", "pure-small")
-    hits = 0
-    for i in range(36):
-        k, bits, form = 2 + i % 5, (40, 130)[i % 2], forms[i % 3]
-        pairs = list(_memo_pairs(rng, k, bits, form, 4))
-        for (ring, w, y, exp), (_, ow, oy, other_exp) in zip(pairs, pairs[1:] + pairs[:1]):
-            for priming in range(4):
-                for base, other_base in ((w, ow), (y, oy)):
-                    if priming == 1:
-                        ext_pow(*((other_base, exp) if i % 2 else (base, other_exp)), ring)
-                    elif priming > 1:
-                        top, high = _peeked_key(base, exp, ring)
-                        near = [(top + 1, high), (top, high + 2), (top + ring.n, high)][i % 3]
-                        object.__setattr__(ring, "_last_power", (near, priming))
-                    got, want = [OpCounter(), OpCounter()], [OpCounter(), OpCounter()]
-                    big.clear()
-                    assert ext_pow(base, exp, ring, *got) == _ext_pow_by_steps(base, exp, ring, *want)
-                    assert [c.as_dict() for c in got] == [c.as_dict() for c in want], (ring, base, exp)
-                    hits += base is y and not priming and not any(big)
-    assert hits >= 100, hits
+    seen = set()
+    for i in range(42):
+        k, form = 2 + i % 7, forms[i % 3]
+        for ring, w, y, exp in _memo_pairs(rng, k, (40, 130)[i // 21], form, 4):
+            n, j = ring.n, k - 1
+            key = (w.u, exp >> j)
+            cases = [(ring, w), (ring, y)]
+            if y.v:
+                cases.append((_minimal_ring(y, ring), QuadExtElement(0, 1)))
+            for case_ring, base in cases:
+                is_x = base == (0, 1)
+                near = [(key[0] + 1, key[1]), (key[0] + n, key[1]), (key[0], key[1] + 1), (key[0], key[1] >> 1)]
+                for planted in [(key, pow(*key, n))] + [(miss, 2) for miss in near]:
+                    quadext._remember(case_ring, *planted[0], planted[1])
+                    entry = case_ring._last_power
+                    for generic in (False, True):
+                        got, want = [OpCounter(), OpCounter()], [OpCounter(), OpCounter()]
+                        pows.clear(), squares.clear(), reads.clear()
+                        value = ext_pow(base, exp, case_ring, *got, generic_squares=generic)
+                        assert value == _ext_pow_by_steps(base, exp, case_ring, *want, generic_squares=generic)
+                        assert [c.as_dict() for c in got] == [c.as_dict() for c in want], (case_ring, base, exp)
+                        assert case_ring._last_power is entry
+                        if generic:
+                            assert reads == [], reads
+                            continue
+                        (split,) = reads
+                        if planted[0] == key:
+                            assert split is not None and (split[0] == 0) == (base.v == 0), (base, split)
+                            assert all(e.bit_length() <= n.bit_length() // 2 for e in pows), (n, pows)
+                            seen.add((form if not is_x else "x", split[0]))
+                        else:
+                            assert split is None, (planted, split)
+                            if planted[0][1] != key[1]:
+                                assert squares == [] and pows == ([exp] if not base.v else []), (pows, squares)
+    want = {(f, a) for f in (*forms, "x") for a in range(1, 8)} | {(f, 0) for f in forms}
+    assert seen >= want, want - seen
 
 
 def test_threads_sharing_one_ring_get_the_ladders_values():
     # More threads than cores share one ring and alternate w and y powers,
-    # each thread by its own exponents, so each overwrites the ring's entry
-    # between another thread's t = w^s1 and z^s = y^s1, and each thread's
-    # dominant ladders (130-bit exponents, windows of 4 bits) evict the
-    # window plan another thread is walking.  A key read with another key's
-    # power, or a plan read for another exponent, would change a value.
+    # each thread by its own exponents, and each thread's dominant ladders
+    # (130-bit exponents, windows of 4 bits) evict the window plan another
+    # thread is walking: a plan read for another exponent would change a
+    # value.  The shared ring is read-only to ext_pow, so its entry for
+    # step 5's high power stays empty.
     rng = random.Random(20261028)
     workers = max(4, (os.cpu_count() or 1) + 1)
     pairs = list(_memo_pairs(rng, 3, 130, "general", 3 * workers))
@@ -818,6 +837,7 @@ def test_threads_sharing_one_ring_get_the_ladders_values():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and len(done) == len(jobs)
     assert not wrong, wrong[:3]
+    assert ring._last_power == (None, None)
 
 
 def test_the_rounds_of_one_n_build_one_window_plan():
