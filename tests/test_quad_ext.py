@@ -6,6 +6,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import isprime, nextprime
 
 from frobprime import frobenius, quadext
@@ -646,6 +648,91 @@ def test_both_multiply_forms_give_the_same_values(monkeypatch):
         assert {ch is not None for c, ch, _ in kernels if c >= 60} == {crossover == 0}
         results.append((values, [power for _, _, power in kernels]))
     assert results[0] == results[1]
+
+
+def test_both_reduction_bodies_give_the_same_results(monkeypatch):
+    """Every kernel call reduces through the half-width fold from
+    _HALF_FOLD_MIN_BITS of n on and no call below it, with the crossover
+    at 0, where it is, and past every modulus; the powers, prefixes and
+    scalar tallies of _pure_power, ext_pow and lucas_uv stay the same."""
+    kernels, folded = [], []
+
+    def recorded(*args, **kwargs):
+        kernels.append(args[3])  # n
+        return kernel(*args, **kwargs)
+
+    def recorded_fold(*args):
+        folded.append(args[3])
+        return half_folded(*args)
+
+    kernel, half_folded = quadext._pure_power, quadext._half_folded_power
+    monkeypatch.setattr(quadext, "_pure_power", recorded)
+    monkeypatch.setattr(frobenius, "_pure_power", recorded)
+    monkeypatch.setattr(quadext, "_half_folded_power", recorded_fold)
+    rng = random.Random(20261020)
+    # primes around the crossover, where a power of (p + 1)*2^low passes
+    # through the scalar norm, then the K-bit extremes 2^K - 1 and 2^(K-1) + 1
+    primes = [nextprime(1 << (bits - 1) | rng.getrandbits(bits - 2)) for bits in (511, 512, 513)]
+    assert [p.bit_length() for p in primes] == [511, 512, 513]
+    moduli = primes + [m for K in (512, 1024, 2048) for m in ((1 << K) - 1, (1 << (K - 1)) + 1)]
+
+    def run():
+        rng = random.Random(20261021)
+        values, scalar_steps = [], 0
+        for n in moduli:
+            # small, full-size and general rings; the operand n - 1 meets
+            # c = 1 and c = n - 1, and a c of n - 1 booked small is never folded
+            rings = [ExtensionRing.pure(n, c) for c in (1, n - 1)]
+            rings += [ExtensionRing.pure(n, c, small=True) for c in (rng.randrange(2, 60), n - 1)]
+            rings.append(ExtensionRing.general(n, rng.randrange(n), rng.randrange(n)))
+            low = rng.randrange(1, 6)
+            if n in primes:
+                rings += [_field(rng, n, form) for form in ("general", "pure", "pure-small")]
+                exp = (n + 1) << low | rng.getrandbits(low)
+            else:
+                exp = rng.getrandbits(160) | 1 << 159
+            for ring in rings:
+                h, d, dh = ring._completed
+                for e in (QuadExtElement(n - 1, n - 1), QuadExtElement(rng.randrange(n), rng.randrange(1, n))):
+                    for generic, shift in ((False, None), (True, None), (True, low)):
+                        counters = [OpCounter(), OpCounter()]
+                        power = ext_pow(e, exp, ring, *counters, generic_squares=generic, prefix_shift=shift)
+                        values.append((power, [c.as_dict() for c in counters]))
+                    for k in (1, quadext._window_width(exp.bit_length())):
+                        got = quadext._pure_power((e.u + h * e.v) % n, e.v, exp, n, d, dh, k, low=low)
+                        values.append(got)
+                        scalar_steps += got[1] + got[2]
+            values.append(frobenius.lucas_uv(rng.randrange(n), rng.randrange(n), n + 1, n))
+        return values, scalar_steps
+
+    results = []
+    for crossover in (0, quadext._HALF_FOLD_MIN_BITS, 1 << 20):
+        monkeypatch.setattr(quadext, "_HALF_FOLD_MIN_BITS", crossover)
+        kernels.clear()
+        folded.clear()
+        results.append(run())
+        # one home for the crossover: every kernel call follows it
+        assert folded == [n for n in kernels if n.bit_length() >= crossover]
+        assert set(folded) == {n for n in moduli if n.bit_length() >= crossover}
+    assert results[0] == results[1] == results[2]
+    # the scalar tallies were exercised
+    assert results[0][1] > 1000
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_half_width_fold_keeps_every_kernel_sum_mod_n(data):
+    """For odd n of 512-4096 bits and x up to the largest sum the kernel
+    reduces, (c + 3)*n^2, the fold of x is x mod n, in about 3K/2 + bits(c)
+    bits."""
+    bits = data.draw(st.integers(512, 4096))
+    n = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1
+    c = data.draw(st.integers(0, 60) | st.integers(0, n - 1))
+    x = data.draw(st.integers(0, (c + 3) * n * n))
+    shift, r, low_mask = quadext._half_fold(n)
+    folded = (x >> shift) * r + (x & low_mask)
+    assert folded % n == x % n
+    assert folded < (c + 5) * n << (bits + 1) // 2
 
 
 _PRODUCT_COST = {  # (squarings, full_mults, small_mults, param_mults) of one non-scalar op
