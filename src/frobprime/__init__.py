@@ -16,7 +16,7 @@ Library layout:
 
 The package exports the API the README documents; every other name
 (``jacobi``, ``trial_divide``, ``initial_screen``, ``step5_chain``, the
-report dataclasses, ...) is imported from its submodule.
+report records, ...) is imported from its submodule.
 """
 
 from .arith import mod_pow

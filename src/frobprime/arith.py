@@ -21,6 +21,7 @@ import functools
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import compress
 from typing import NamedTuple, Optional
 
 __all__ = [
@@ -59,7 +60,7 @@ def primes_up_to(limit: int) -> tuple[int, ...]:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return tuple(i for i, f in enumerate(flags) if f)
+    return tuple(compress(range(limit + 1), flags))
 
 
 # Computed once at import time and treated as read-only afterwards, so

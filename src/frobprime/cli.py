@@ -38,7 +38,6 @@ so any run can be reproduced byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -77,6 +76,8 @@ def _emit(report: dict, output: str) -> None:
     """Print an experiment subcommand's one flat record: JSON with sorted
     keys, or ``key=value`` pairs in record order with ``None`` left out."""
     if output == "json":
+        import json  # ``test`` writes its own JSON lines, so its start skips this
+
         print(json.dumps(report, sort_keys=True))
     else:
         print(" ".join(f"{key}={value}" for key, value in report.items() if value is not None))

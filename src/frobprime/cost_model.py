@@ -24,11 +24,9 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import modulus_value
 from .nonresidue import DELTA_THRESHOLD, _record
@@ -67,21 +65,25 @@ class Variant(str, Enum):
     RQFT_SMALLC = "rqft-smallc"
 
 
-@dataclass(frozen=True)
-class CostWeights:
-    """m = cost of a full multiplication, delta = small-operand size ratio,
-    both relative to one squaring at the size of n."""
-
+class _CostWeightsFields(NamedTuple):
     m: float
     delta: float = DELTA_STAR
 
-    def __post_init__(self) -> None:
-        if not self.m > 0:
+
+class CostWeights(_CostWeightsFields):
+    """m = cost of a full multiplication, delta = small-operand size ratio,
+    both relative to one squaring at the size of n."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: float, delta: float = DELTA_STAR) -> "CostWeights":
+        if not m > 0:
             raise ValueError("m must be positive")
-        if not math.isfinite(self.m):
+        if not math.isfinite(m):
             raise ValueError("m must be finite")
-        if not 0 < self.delta <= 1:
+        if not 0 < delta <= 1:
             raise ValueError("delta must lie in (0, 1]")
+        return super().__new__(cls, m, delta)
 
 
 def per_op_cost(variant: Variant, weights: CostWeights) -> float:
@@ -97,8 +99,7 @@ def per_op_cost(variant: Variant, weights: CostWeights) -> float:
     return (2.0 + weights.delta) * m
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(NamedTuple):
     """Aggregate cost of one run.
 
     msq_total
@@ -141,8 +142,7 @@ def summarize(counter: OpCounter, n: int, weights: CostWeights) -> CostReport:
     )
 
 
-@dataclass(frozen=True)
-class MeasuredCosts:
+class MeasuredCosts(NamedTuple):
     """Median per-operation timings for this machine at one operand size."""
 
     bits: int
@@ -204,6 +204,8 @@ def measure_m(
         raise ValueError("trials must be at least 1")
     if reps is not None and reps < 1:
         raise ValueError("reps must be at least 1")
+    import statistics  # only ``frobprime bench`` needs it; a ``test`` start skips it
+
     used_seed = seed if seed is not None else random.SystemRandom().getrandbits(64)
     rng = random.Random(used_seed)
     if reps is None:

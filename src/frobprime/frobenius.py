@@ -40,9 +40,8 @@ from a seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import (
     TRIAL_DIVISION_BOUND,
@@ -107,8 +106,13 @@ class CompositeReason(str, Enum):
     LUCAS = "lucas-congruence"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _VerdictFields(NamedTuple):
+    is_probable_prime: bool
+    reason: Optional[CompositeReason] = None
+    factor: Optional[int] = None
+
+
+class Verdict(_VerdictFields):
     """Outcome of a single test run.
 
     ``factor``, when present, is a nontrivial divisor of n discovered along
@@ -116,15 +120,15 @@ class Verdict:
     symbol's gcd).
     """
 
-    is_probable_prime: bool
-    reason: Optional[CompositeReason] = None
-    factor: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.is_probable_prime and self.reason is not None:
+    def __new__(cls, is_probable_prime: bool, reason: Optional[CompositeReason] = None,
+                factor: Optional[int] = None) -> "Verdict":
+        if is_probable_prime and reason is not None:
             raise ValueError("a probable-prime verdict carries no reason")
-        if not self.is_probable_prime and self.reason is None:
+        if not is_probable_prime and reason is None:
             raise ValueError("a composite verdict needs a reason")
+        return super().__new__(cls, is_probable_prime, reason, factor)
 
     @classmethod
     def probable_prime(cls) -> "Verdict":
@@ -154,8 +158,7 @@ class ParamSearchExhausted(Exception):
     """A rejection-sampling parameter search hit its retry cap."""
 
 
-@dataclass(frozen=True)
-class QftParams:
+class QftParams(NamedTuple):
     """General-form parameters (b, c); valid for n when
     jacobi(b^2 + 4c, n) = -1 and jacobi(-c, n) = +1."""
 
@@ -163,8 +166,7 @@ class QftParams:
     c: int
 
 
-@dataclass(frozen=True)
-class RqftParams:
+class RqftParams(NamedTuple):
     """Pure-form parameters (a, b, c); valid for n when
     jacobi(b^2 - c*a^2, n) = +1 and jacobi(c, n) = -1."""
 
@@ -173,7 +175,6 @@ class RqftParams:
     c: int
 
 
-@dataclass
 class PhaseCounters:
     """Per-phase operation counters for one test run.
 
@@ -187,11 +188,27 @@ class PhaseCounters:
 
     Keeping the buckets separate lets the dominant-term cost contract be
     asserted on the squaring steps alone; ``total()`` aggregates all three.
+    Equality compares the three counters; like them, the record is mutable
+    and so unhashable.
     """
 
-    squaring_steps: OpCounter
-    multiply_steps: OpCounter
-    tail: OpCounter
+    __slots__ = ("squaring_steps", "multiply_steps", "tail")
+    __hash__ = None
+
+    def __init__(self, squaring_steps: OpCounter, multiply_steps: OpCounter, tail: OpCounter) -> None:
+        self.squaring_steps = squaring_steps
+        self.multiply_steps = multiply_steps
+        self.tail = tail
+
+    def __repr__(self) -> str:
+        return (f"{self.__class__.__qualname__}(squaring_steps={self.squaring_steps!r}, "
+                f"multiply_steps={self.multiply_steps!r}, tail={self.tail!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.squaring_steps, self.multiply_steps, self.tail)
+                == (other.squaring_steps, other.multiply_steps, other.tail))
 
     @classmethod
     def fresh(cls) -> "PhaseCounters":

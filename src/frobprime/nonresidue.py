@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import as_fraction, ceil_frac_pow, floor_frac_pow, is_perfect_square, jacobi, modulus_value
 
@@ -50,14 +49,13 @@ def _record(report, *derived: str) -> dict:
     """A report's fields in order, then its ``derived`` properties, with each
     Fraction written as its exact string: the record ``--output`` prints."""
     record = {}
-    for name in [field.name for field in fields(report)] + list(derived):
+    for name in report._fields + derived:
         value = getattr(report, name)
         record[name] = str(value) if isinstance(value, Fraction) else value
     return record
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Search budget: examine at most ``cap`` = ceil(n^delta) candidates."""
 
     delta: Fraction
@@ -81,8 +79,7 @@ def _search_delta(delta) -> Fraction:
     return d
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of one search: exactly one of c / factor set, or neither.
 
     ``examined`` counts the candidates whose symbol was actually evaluated;
@@ -157,8 +154,7 @@ _ENUMERATION_LIMIT = 10**6
 _MAX_TERMS = 10**7
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     """Counts of Jacobi symbols over the candidate window [2, ceil(n^delta)]."""
 
     n: int
@@ -227,8 +223,7 @@ def density_experiment(
     )
 
 
-@dataclass(frozen=True)
-class CharSumReport:
+class CharSumReport(NamedTuple):
     """Partial character sum S = sum(jacobi(k, n) for 1 <= k < cutoff)."""
 
     n: int

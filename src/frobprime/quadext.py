@@ -66,7 +66,6 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import NamedTuple, Optional
 
@@ -85,7 +84,6 @@ __all__ = [
 ]
 
 
-@dataclass(slots=True)
 class OpCounter:
     """Mutable tally of modular products, by kind.
 
@@ -104,13 +102,27 @@ class OpCounter:
         them) so either accounting interpretation can be read off.
 
     Equality compares the four counts; ``small_bits_ratio`` is not one.
+    A counter is mutable and so unhashable.
     """
 
-    squarings: int = 0
-    full_mults: int = 0
-    small_mults: int = 0
-    param_mults: int = 0
-    small_bits_ratio: float = field(default=0.0, compare=False)
+    __slots__ = ("squarings", "full_mults", "small_mults", "param_mults", "small_bits_ratio")
+    __hash__ = None
+
+    def __init__(self, squarings: int = 0, full_mults: int = 0, small_mults: int = 0,
+                 param_mults: int = 0, small_bits_ratio: float = 0.0) -> None:
+        self.squarings = squarings
+        self.full_mults = full_mults
+        self.small_mults = small_mults
+        self.param_mults = param_mults
+        self.small_bits_ratio = small_bits_ratio
+
+    def __repr__(self) -> str:
+        return _repr(self, self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _op_counts(self)[:4] == _op_counts(other)[:4]
 
     def copy(self) -> "OpCounter":
         return OpCounter(*_op_counts(self))
@@ -133,10 +145,15 @@ class OpCounter:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-#: The values of an ``OpCounter``'s fields, in the order of the slots that
-#: the dataclass made from them, for ``copy``: with CPython 3.11 on a 2-core
-#: x86-64 machine, ``dataclasses.replace`` took 0.8 us a call against 0.2 us
-#: for this.
+def _repr(obj: object, names: "tuple[str, ...]") -> str:
+    """``Class(name=value, ...)`` over ``names``, the repr of a record class."""
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+    return f"{obj.__class__.__qualname__}({fields})"
+
+
+#: The values of an ``OpCounter``'s fields, in the order of its slots:
+#: ``copy`` passes them to the constructor, and ``__eq__`` compares the
+#: first four.
 _op_counts = attrgetter(*OpCounter.__slots__)
 
 
@@ -164,27 +181,35 @@ _SCALAR_PRODUCT = (0, 1, 0, 0)
 _SCALAR_TIMES_ELEMENT = (0, 2, 0, 0)
 
 
-@dataclass(frozen=True)
 class ExtensionRing:
     """A quadratic extension ring mod n.
 
     b is None for the pure form x^2 = c; otherwise x^2 = b*x + c.
     small_c_bits marks the pure form's c as a designated small nonresidue
     (it is then booked as a small multiplication of that bit size).
+
+    A ring is immutable: equality and hashing read n, b, c and
+    small_c_bits, and assigning or deleting any attribute raises
+    AttributeError.  The other slots are derived from those four, bar
+    ``_last_power``, which only ``_remember`` writes.
     """
+
+    __slots__ = ("n", "b", "c", "small_c_bits", "small_ratio", "_completed", "_steps", "_last_power")
+    #: The fields the constructor takes, the repr shows and equality compares.
+    _FIELDS = __slots__[:4]
 
     n: int
     b: Optional[int]
     c: int
-    small_c_bits: Optional[int] = None
+    small_c_bits: Optional[int]
     #: bits(c)/bits(n) when c is designated small, else None.
-    small_ratio: Optional[float] = field(init=False, repr=False, compare=False)
+    small_ratio: Optional[float]
     #: (h, d, dh) with x = y + h, y^2 = d (see ``_pure_form``) and dh the
     #: kernel's ``_fold`` of d, None for a small c; (0, c, ch) in the pure
     #: form.  Every element operation computes in these coordinates.
-    _completed: "tuple[int, int, Optional[int]]" = field(init=False, repr=False, compare=False)
+    _completed: "tuple[int, int, Optional[int]]"
     #: This form's rows of ``_STEP_COSTS``.
-    _steps: _StepCosts = field(init=False, repr=False, compare=False)
+    _steps: _StepCosts
     #: ((base, exp), base^exp mod n), or (None, None): step 5's high power
     #: W = w^(s1 >> j), j = v2(n + 1) - 1, under the key (w, s1 >> j).
     #: ``frobenius._extension_steps`` is its one writer (``_remember``):
@@ -198,28 +223,44 @@ class ExtensionRing:
     #: which W can pass to step 5 as a local.  ``frobenius._run_round``
     #: builds one ring per round, so the entry lives as long as the round,
     #: and a thread sharing a ring reads key and value as one tuple.
-    _last_power: "tuple[Optional[tuple], Optional[int]]" = field(init=False, repr=False, compare=False)
+    _last_power: "tuple[Optional[tuple], Optional[int]]"
 
-    def __post_init__(self) -> None:
-        n = modulus_value(self.n)
-        if not 0 <= self.c < n:
+    def __init__(self, n: int, b: Optional[int], c: int, small_c_bits: Optional[int] = None) -> None:
+        n_value = modulus_value(n)
+        if not 0 <= c < n_value:
             raise ValueError("c must be reduced into [0, n)")
-        if self.b is not None and not 0 <= self.b < n:
+        if b is not None and not 0 <= b < n_value:
             raise ValueError("b must be reduced into [0, n)")
-        if self.small_c_bits is not None and self.b is not None:
+        if small_c_bits is not None and b is not None:
             raise ValueError("small_c_bits applies to the pure form only")
-        if self.b is not None:
-            h, d = _pure_form(n, self.b, self.c)
+        if b is not None:
+            h, d = _pure_form(n_value, b, c)
             form = "general"
         else:
-            h, d = 0, self.c
-            form = "pure" if self.small_c_bits is None else "pure-smallc"
-        dh = None if self.small_c_bits is not None else _fold(n, d)
-        ratio = None if self.small_c_bits is None else self.small_c_bits / n.bit_length()
-        object.__setattr__(self, "small_ratio", ratio)
-        object.__setattr__(self, "_completed", (h, d, dh))
-        object.__setattr__(self, "_steps", _STEP_COSTS[form])
-        object.__setattr__(self, "_last_power", (None, None))
+            h, d = 0, c
+            form = "pure" if small_c_bits is None else "pure-smallc"
+        dh = None if small_c_bits is not None else _fold(n_value, d)
+        ratio = None if small_c_bits is None else small_c_bits / n_value.bit_length()
+        for name, value in zip(self.__slots__, (n, b, c, small_c_bits, ratio, (h, d, dh),
+                                                _STEP_COSTS[form], (None, None))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return _repr(self, self._FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _ring_key(self) == _ring_key(other)
+
+    def __hash__(self) -> int:
+        return hash(_ring_key(self))
 
     @classmethod
     def general(cls, n: int, b: int, c: int) -> "ExtensionRing":
@@ -233,6 +274,10 @@ class ExtensionRing:
         n = modulus_value(n)
         c %= n
         return cls(n, None, c, c.bit_length() if small else None)
+
+
+#: (n, b, c, small_c_bits): what ring equality and hashing compare.
+_ring_key = attrgetter(*ExtensionRing._FIELDS)
 
 
 class QuadExtElement(NamedTuple):

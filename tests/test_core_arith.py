@@ -34,13 +34,17 @@ def test_primes_up_to_matches_known_counts():
     assert primes[:10] == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
     assert len(primes) == 25
     assert len(primes_up_to(10**4)) == 1229
-    assert primes_up_to(1) == ()
+    assert primes_up_to(10**4) == tuple(primerange(2, 10**4 + 1))
+    assert primes_up_to(1) == primes_up_to(0) == ()
+    assert primes_up_to(2) == (2,) and primes_up_to(3) == (2, 3) and primes_up_to(4) == (2, 3)
 
 
 def test_small_primes_cover_the_trial_division_bound():
     assert SMALL_PRIMES[0] == 2
     assert SMALL_PRIMES[-1] <= TRIAL_DIVISION_BOUND
     assert len(SMALL_PRIMES) == 5133  # pi(50000)
+    assert SMALL_PRIMES == tuple(primerange(2, TRIAL_DIVISION_BOUND + 1))
+    assert all(type(p) is int for p in SMALL_PRIMES)
 
 
 def test_jacobi_fixed_values():

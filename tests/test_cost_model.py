@@ -7,7 +7,9 @@ import pytest
 from frobprime.cost_model import (
     DELTA_STAR,
     PRESET_MS,
+    CostReport,
     CostWeights,
+    MeasuredCosts,
     Variant,
     cost_table,
     measure_m,
@@ -36,17 +38,23 @@ def test_per_op_costs_at_reference_ratios():
 
 
 def test_weights_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be positive$"):
         CostWeights(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be positive$"):
         CostWeights(-1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^m must be finite$"):
         CostWeights(float("inf"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\]$"):
         CostWeights(1.0, 0.0)
-    with pytest.raises(ValueError):
-        CostWeights(1.0, 1.5)
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1\]$"):
+        CostWeights(m=1.0, delta=1.5)
     CostWeights(1.0, 1.0)  # boundary delta allowed
+    w = CostWeights(1.5)
+    assert repr(w) == f"CostWeights(m=1.5, delta={DELTA_STAR!r})"
+    assert w == CostWeights(m=1.5, delta=DELTA_STAR) and hash(w) == hash(CostWeights(1.5))
+    for name in ("m", "delta", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 1.0)
 
 
 def test_variant_ordering_invariants():
@@ -107,7 +115,12 @@ def test_summarize_formula_is_exact():
     assert report.selfridge_units == pytest.approx(report.msq_total / lg)
     assert report.selfridges == pytest.approx((10 + 4 + 6) / lg)
     assert report.param_mults == 99
-    assert set(report.as_dict()) == {"msq_total", "selfridge_units", "selfridges", "param_mults"}
+    assert list(report.as_dict()) == ["msq_total", "selfridge_units", "selfridges", "param_mults"]
+    assert repr(CostReport(1.0, 2.0, 3.0, 4)) == "CostReport(msq_total=1.0, selfridge_units=2.0, selfridges=3.0, param_mults=4)"
+    assert hash(report) == hash(summarize(counter, 2**255 + 1, CostWeights(2.0, 0.25)))
+    for name in ("msq_total", "param_mults", "other"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 0)
 
 
 def test_the_booked_square_of_each_ring_form_is_its_per_iteration_cost():
@@ -152,6 +165,17 @@ def test_measure_m_smoke():
     assert w.m == measured.m and w.delta == measured.delta
     d = measured.as_dict()
     assert d["m"] == measured.m and "square_ns" in d
+    assert list(d) == [
+        "bits", "trials", "reps", "seed", "delta", "square_ns", "full_mult_ns", "small_mult_ns", "m", "small_m",
+    ]
+    assert repr(MeasuredCosts(64, 1, 10, 1, 0.25, 1.0, 2.0, 0.5)) == (
+        "MeasuredCosts(bits=64, trials=1, reps=10, seed=1, delta=0.25, square_ns=1.0, full_mult_ns=2.0, "
+        "small_mult_ns=0.5)"
+    )
+    assert hash(measured) == hash(MeasuredCosts(*(getattr(measured, name) for name in list(d)[:8])))
+    for name in ("bits", "square_ns", "m", "other"):
+        with pytest.raises(AttributeError):
+            setattr(measured, name, 1)
 
 
 def test_measure_m_validation():

@@ -76,10 +76,33 @@ def test_verdict_construction_rules():
     c = Verdict.composite(CompositeReason.SMALL_FACTOR, 11)
     assert str(c) == "composite (small-factor, factor 11)"
     assert str(Verdict.composite(CompositeReason.STEP3)) == "composite (step3)"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a probable-prime verdict carries no reason$"):
         Verdict(True, CompositeReason.STEP3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a composite verdict needs a reason$"):
         Verdict(False)
+    with pytest.raises(ValueError, match="^a composite verdict needs a reason$"):
+        Verdict(is_probable_prime=False, factor=3)
+    assert repr(v) == "Verdict(is_probable_prime=True, reason=None, factor=None)"
+    assert repr(c) == "Verdict(is_probable_prime=False, reason=<CompositeReason.SMALL_FACTOR: 'small-factor'>, factor=11)"
+    assert c == Verdict(False, CompositeReason.SMALL_FACTOR, 11)
+    assert hash(c) == hash(Verdict.composite(CompositeReason.SMALL_FACTOR, 11))
+    assert c != Verdict.composite(CompositeReason.SMALL_FACTOR, 13)
+    for name in ("is_probable_prime", "reason", "factor", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+
+
+def test_params_are_immutable_hashable_records():
+    qp, rp = QftParams(3, 5), RqftParams(c=7, a=1, b=2)
+    assert (qp.b, qp.c, rp.a, rp.b, rp.c) == (3, 5, 1, 2, 7)
+    assert repr(qp) == "QftParams(b=3, c=5)" and repr(rp) == "RqftParams(a=1, b=2, c=7)"
+    assert qp == QftParams(b=3, c=5) and hash(qp) == hash(QftParams(3, 5))
+    assert rp == RqftParams(1, 2, 7) and hash(rp) == hash(RqftParams(1, 2, 7))
+    assert qp != QftParams(5, 3) and rp != RqftParams(2, 1, 7)
+    for params, names in ((qp, ("b", "c", "other")), (rp, ("a", "b", "c", "other"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(params, name, 0)
 
 
 def test_initial_screen_decides_small_inputs():
@@ -238,7 +261,7 @@ def test_qft_sampler_matches_the_one_computing_both_symbols_on_every_draw():
             got = _outcome(generate_qft_params, n, rng)
             assert got == _outcome(_qft_params_with_both_symbols, n, ref_rng, stood_in), (n, seed)
             assert rng.getstate() == ref_rng.getstate(), (n, seed)
-            kinds.add(got[0] if isinstance(got, tuple) else "params")
+            kinds.add("params" if isinstance(got, QftParams) else got[0])
     # the gcd stood in for a zero jacobi(-c, n) on a rejected draw
     assert stood_in[0] > 500 and kinds == {"params", "factor", "exhausted"}, (stood_in, kinds)
 
@@ -597,6 +620,12 @@ def test_search_outcome_kinds():
     assert SearchOutcome(2, None, 1).kind == "small-c"
     assert SearchOutcome(None, 3, 2).kind == "factor"
     assert SearchOutcome(None, None, 3).kind == "not-found"
+    found = SearchOutcome(c=2, factor=None, examined=1)
+    assert repr(found) == "SearchOutcome(c=2, factor=None, examined=1)"
+    assert found == SearchOutcome(2, None, 1) and hash(found) == hash(SearchOutcome(2, None, 1))
+    for name in ("c", "factor", "examined", "kind", "other"):
+        with pytest.raises(AttributeError):
+            setattr(found, name, 3)
 
 
 def test_step5_chain_matches_naive_on_random_rings():
@@ -1046,6 +1075,14 @@ def test_phase_counters_split_and_total():
     ph.tail.full_mults += 3
     total = ph.total()
     assert (total.squarings, total.full_mults, total.param_mults) == (4, 3, 2)
+    zero = "OpCounter(squarings=0, full_mults=0, small_mults=0, param_mults=0, small_bits_ratio=0.0)"
+    assert repr(PhaseCounters.fresh()) == f"PhaseCounters(squaring_steps={zero}, multiply_steps={zero}, tail={zero})"
+    # equality compares the three counters; mutable, so unhashable
+    assert PhaseCounters.fresh() == PhaseCounters(OpCounter(), OpCounter(), OpCounter())
+    assert ph != PhaseCounters.fresh()
+    assert ph == PhaseCounters(OpCounter(4), OpCounter(param_mults=2), OpCounter(full_mults=3))
+    with pytest.raises(TypeError, match="unhashable type: 'PhaseCounters'"):
+        hash(ph)
 
 
 def test_qft_phases_cover_the_counter_total():

@@ -33,6 +33,11 @@ def test_search_config_caps_candidates():
     cfg = SearchConfig.for_modulus(10**12 + 39, "0.25")
     assert cfg.cap == ceil_frac_pow(10**12 + 39, Fraction(1, 4))
     assert cfg.delta == Fraction(1, 4)
+    assert repr(SearchConfig.for_modulus(13)) == "SearchConfig(delta=Fraction(81, 400), cap=2)"
+    assert cfg == SearchConfig(Fraction(1, 4), cfg.cap) and hash(cfg) == hash(SearchConfig(Fraction(1, 4), cfg.cap))
+    for name in ("delta", "cap", "other"):
+        with pytest.raises(AttributeError):
+            setattr(cfg, name, 1)
 
 
 def test_search_config_rejects_unsupported_exponents():
@@ -153,6 +158,18 @@ def test_density_exhaustive_example():
     assert report.seed is None
     d = report.as_dict()
     assert d["delta"] == "3/10" and d["n"] == 15
+    assert repr(report) == (
+        "DensityReport(n=15, delta=Fraction(3, 10), mode='exhaustive', seed=None, candidates_examined=2, "
+        "count_minus_one=0, count_zero=1, count_not_plus_one=1)"
+    )
+    assert list(d) == [
+        "n", "delta", "mode", "seed", "candidates_examined", "count_minus_one", "count_zero",
+        "count_not_plus_one", "proportion",
+    ]
+    assert hash(report) == hash(density_experiment(15, "0.3"))
+    for name in ("n", "mode", "proportion", "other"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, 1)
 
 
 def test_density_counts_match_direct_enumeration():
@@ -182,6 +199,12 @@ def test_charsum_examples():
     r = charsum_experiment(9, 1)
     assert r.charsum == 6  # principal-character case: the sum counts units
     assert r.ratio == pytest.approx(6 / 9)
+    assert repr(r) == "CharSumReport(n=9, gamma=Fraction(1, 1), cutoff=9, charsum=6)"
+    assert r.as_dict() == {"n": 9, "gamma": "1", "cutoff": 9, "charsum": 6, "ratio": 6 / 9}
+    assert r == charsum_experiment(9, 1) and hash(r) == hash(charsum_experiment(9, 1))
+    for name in ("n", "charsum", "ratio", "other"):
+        with pytest.raises(AttributeError):
+            setattr(r, name, 1)
 
 
 def test_charsum_matches_direct_summation():

@@ -97,18 +97,38 @@ def test_fixed_values():
 
 
 def test_ring_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^c must be reduced into \[0, n\)$"):
         ExtensionRing(15, None, 20)  # c not reduced
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^b must be reduced into \[0, n\)$"):
         ExtensionRing(15, 16, 2)  # b not reduced
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^modulus must be odd and > 1, got 14$"):
         ExtensionRing(14, None, 3)  # even modulus
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^small_c_bits applies to the pure form only$"):
         ExtensionRing(15, 2, 3, small_c_bits=2)  # small c is a pure-form notion
     ring = ExtensionRing.pure(101, 2, small=True)
     assert ring.small_c_bits == 2
     assert ring.small_ratio == 2 / 7
     assert ExtensionRing.general(15, 31, 17) == ExtensionRing(15, 1, 2)
+    # a ring reads as its four fields, and compares and hashes by them alone
+    assert repr(ExtensionRing.pure(101, 3, small=True)) == "ExtensionRing(n=101, b=None, c=3, small_c_bits=2)"
+    assert repr(ExtensionRing.general(101, 3, 5)) == "ExtensionRing(n=101, b=3, c=5, small_c_bits=None)"
+    assert hash(ExtensionRing.general(15, 31, 17)) == hash(ExtensionRing(15, 1, 2))
+    assert ExtensionRing.pure(101, 3) == ExtensionRing(101, None, 3)
+    assert ExtensionRing.pure(101, 3) != ExtensionRing.pure(101, 3, small=True)
+    assert ExtensionRing.pure(101, 3) != (101, None, 3, None)
+    assert len({ExtensionRing.pure(101, 3), ExtensionRing(101, None, 3), ExtensionRing.general(101, 0, 3)}) == 2
+    # the shared high power is no part of a ring's identity
+    shared = ExtensionRing.pure(101, 3)
+    quadext._remember(shared, 2, 5, 32)
+    assert shared._last_power == ((2, 5), 32)
+    assert shared == ExtensionRing.pure(101, 3) and hash(shared) == hash(ExtensionRing.pure(101, 3))
+    # a ring is immutable: no field, derived slot or new name can be set or deleted
+    for name in ("n", "b", "c", "small_c_bits", "small_ratio", "_completed", "_last_power", "other"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(ring, name, 1)
+    with pytest.raises(AttributeError, match="^cannot delete field 'n'$"):
+        del ring.n
+    assert ring == ExtensionRing.pure(101, 2, small=True)
 
 
 def test_ring_axioms_hold_on_random_samples():
@@ -373,7 +393,19 @@ def test_op_counter_arithmetic():
     assert c.small_mults == 2 and c.small_bits_ratio == 0.3
     quadext._book(c, x_step, ExtensionRing.pure(1023, 255, small=True), 0)
     assert c.small_mults == 2 and c.small_bits_ratio == 0.3
-    assert "squarings=11" in repr(total)
+    assert repr(total) == "OpCounter(squarings=11, full_mults=22, small_mults=33, param_mults=44, small_bits_ratio=0.5)"
+    assert repr(OpCounter()) == "OpCounter(squarings=0, full_mults=0, small_mults=0, param_mults=0, small_bits_ratio=0.0)"
+    # equality reads the four counts and not the ratio; a counter is mutable, so unhashable
+    assert OpCounter(1, 0, 0, 0, 0.5) == OpCounter(1, 0, 0, 0, 0.25)
+    assert OpCounter(1, 0, 0, 0, 0.5) != OpCounter(0, 1, 0, 0, 0.5)
+    assert OpCounter() != (0, 0, 0, 0, 0.0)
+    with pytest.raises(TypeError, match="unhashable type: 'OpCounter'"):
+        hash(OpCounter())
+    assert OpCounter(small_bits_ratio=0.25, param_mults=3).as_dict() == {
+        "squarings": 0, "full_mults": 0, "small_mults": 0, "param_mults": 3, "small_bits_ratio": 0.25,
+    }
+    with pytest.raises(AttributeError):
+        OpCounter().other = 1
 
 
 def _field(rng, p, form):
